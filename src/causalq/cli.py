@@ -181,7 +181,7 @@ def _exec_fv(doc: dict, tol: Tolerances, rep: RunReport, seed: int) -> None:
     spec = doc["fv_preset"]
     rng = np.random.default_rng(spec.get("seed", seed))
     if spec["name"] == "cnot":
-        c, probe = cnot_preset()
+        c, probe = cnot_preset(tol)
         sm = scattering_map(c, probe)
         eps = induced_observable(sm, np.diag([0.0, 1.0]).astype(complex), tol=tol)
         target = np.kron(np.diag([0.0, 1.0]), np.eye(2))
@@ -189,7 +189,7 @@ def _exec_fv(doc: dict, tol: Tolerances, rep: RunReport, seed: int) -> None:
         rep.residuals["fv.induced.residual"] = resid
         rep.checks.append(CheckResult("fv.induced", resid <= tol.operator, resid))
         return
-    c, p1, p2, o3 = bostelmann_preset(valid=spec.get("valid", True), rng=rng)
+    c, p1, p2, o3 = bostelmann_preset(spec.get("valid", True), rng, tol)
     bos = bostelmann_check(c, p1, p2, o3, rng=rng, enforce=False)
     rep.residuals["fv.bostelmann.residual"] = bos.residual
     rep.residuals["fv.bostelmann.state_spread"] = bos.state_spread

@@ -204,6 +204,27 @@ def _embed_matrix(op: np.ndarray, target_labels: Sequence[str], sp: ProductSpace
     return np.ascontiguousarray(t.reshape(sp.dim, sp.dim))
 
 
+def _apply_matrix(op: np.ndarray, target_labels: Sequence[str], sp: ProductSpace,
+                  m: np.ndarray) -> np.ndarray:
+    """``_embed_matrix(op, target_labels, sp) @ m`` in O(dim^2 d_t), not O(dim^3).
+
+    Rows of ``m`` are split into blocks (A0, t1, A1, .., tk, rest) around the
+    targets, which are gathered in ``op``'s order for one batched matmul;
+    adjacent ascending targets need no copy.  Callers validate ``op``.
+    """
+    axes = [sp.index(l) for l in target_labels]
+    d_t = int(np.prod([sp.dims[i] for i in axes], dtype=np.int64))
+    shape, prev = [], 0
+    for a in sorted(axes):
+        shape += [int(np.prod(sp.dims[prev:a], dtype=np.int64)), sp.dims[a]]
+        prev = a + 1
+    k = len(axes)
+    perm = [*range(0, 2 * k, 2), *(2 * sorted(axes).index(a) + 1 for a in axes), 2 * k]
+    x = m.reshape(shape + [-1]).transpose(perm)
+    y = op @ x.reshape(-1, d_t, x.shape[-1])
+    return y.reshape(x.shape).transpose(np.argsort(perm)).reshape(m.shape)
+
+
 def embed(op, target_labels: Sequence[str] | str, sp: ProductSpace,
           region=None) -> LocalOperator:
     """Place `op` on the named factors, identity elsewhere."""

@@ -386,6 +386,15 @@ def test_document_tolerances_beat_env(tmp_path, capsys, monkeypatch):
     assert rc == 0
 
 
+def test_document_tolerances_reach_fv_validation(tmp_path, capsys):
+    doc = load_document(PRESETS / "bostelmann.json")
+    doc["tolerances"] = {"tol.unitary": 1e-30}
+    rc, _, err = cli(capsys, "check", write_doc(tmp_path, doc),
+                     "--suite", "fv", "--out", tmp_path)
+    assert rc == 3
+    assert "not unitary" in err
+
+
 def test_unknown_tolerance_key_exit_2(tmp_path, capsys):
     doc = load_document(PRESETS / "bostelmann.json")
     doc["tolerances"] = {"tol.nope": 1.0}

@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
+from causalq import fv, qops
 from causalq.causal import cells, spacelike
+from causalq.config import DEFAULT
 from causalq.errors import (CouplingOutsideK, DimensionMismatch,
                             GeometryViolation, NotCausallyOrderable, NotEffect,
                             UnknownLabel, ZeroProbability)
@@ -11,7 +13,7 @@ from causalq.fv import (BostelmannReport, CircuitSpacetime, ProbeCoupling,
                         cnot_preset, corollary6_check, induced_observable,
                         operator_support, random_brickwork, scattering_map,
                         support_defect, update_nonselective, update_selective)
-from causalq.qops import dag, opnorm
+from causalq.qops import _embed_matrix, _ptrace_matrix, dag, opnorm
 from causalq.random_ops import (haar_unitary, random_density, random_effect,
                                 random_hermitian)
 
@@ -51,6 +53,11 @@ def test_probe_validation():
         ProbeCoupling("P", 2, GROUND, (((0, 1), np.eye(4)),), cells([(0, 0)]))
     with pytest.raises(ValueError):
         ProbeCoupling("P", 2, GROUND, region=cells([(0, 0)], period=8))
+    # gate unitarity is checked once, when the probe is built
+    with pytest.raises(ValueError, match="not unitary"):
+        ProbeCoupling("P", 2, GROUND, (((0, 0), 2 * np.eye(4)),), cells([(0, 0)]))
+    with pytest.raises(DimensionMismatch):
+        ProbeCoupling("P", 2, GROUND, (((0, 0), np.eye(4)[:, :2]),), cells([(0, 0)]))
     p = qubit_probe("P", [(1, 1)], rng)
     assert p.coupling_steps == (1,)
 
@@ -353,3 +360,116 @@ def test_random_brickwork_layers_alternate():
         for span, u in layer:
             assert len(span) == 2
             assert opnorm(u @ dag(u) - np.eye(4)) < 1e-10
+
+
+def test_checks_honour_tolerances():
+    rng = np.random.default_rng(22)
+    tight = DEFAULT.replace(unitary=1e-14)
+    u4 = haar_unitary(4, rng) + 1e-12 * random_hermitian(4, rng)
+    u2 = haar_unitary(2, rng) + 1e-12 * random_hermitian(2, rng)
+    builds = [
+        lambda tol: CircuitSpacetime(2, 1, (((0, u4),),), tol=tol),
+        lambda tol: ProbeCoupling("P", 2, GROUND, (((0, 0), u4),), cells([(0, 0)]),
+                                  tol=tol),
+        lambda tol: ProbeCoupling("P", 2, GROUND, free=(u2,), tol=tol),
+    ]
+    for build in builds:
+        build(DEFAULT)
+        with pytest.raises(ValueError, match="not unitary"):
+            build(tight)
+    off = np.diag([1.0 + 1e-11, 0.0]).astype(complex)
+    with pytest.raises(ValueError, match="unit trace"):
+        ProbeCoupling("P", 2, off)
+    ProbeCoupling("P", 2, off, tol=DEFAULT.replace(trace=1e-10))
+
+
+def embed_and_multiply(c, probes, coupled):
+    """V, V0 and the free prefixes with every gate embedded as a full matrix."""
+    sp = qops.space(*zip(c.site_labels, c.dims), *[(p.label, p.dim) for p in probes])
+    eye = np.eye(sp.dim, dtype=complex)
+    v0, v, prefix = eye, eye, [eye]
+    for s in range(c.n_steps):
+        free, kick = eye, eye
+        for span, g in c.layers[s]:
+            free = _embed_matrix(g, [f"s{i}" for i in span], sp) @ free
+        for p in probes:
+            if p.free is not None:
+                free = _embed_matrix(p.free[s], [p.label], sp) @ free
+            if p.label in coupled:
+                here = sorted(((cell, g) for cell, g in p.gates if cell[0] == s),
+                              key=lambda item: item[0][1])
+                for (_, x), g in here:
+                    kick = _embed_matrix(g, [f"s{x}", p.label], sp) @ kick
+        v0 = free @ v0
+        v = free @ kick @ v
+        prefix.append(v0)
+    return sp, v0, v, prefix
+
+
+def mixed_dim_instance(rng):
+    """Sites of dims (2, 3, 2, 2), a qubit and a qutrit probe, free probe motion."""
+    dims = (2, 3, 2, 2)
+    layers = (((0, haar_unitary(6, rng)), (2, haar_unitary(4, rng))),
+              ((1, haar_unitary(6, rng)), (3, haar_unitary(2, rng))),
+              ((0, haar_unitary(2, rng)), (2, haar_unitary(4, rng))))
+    c = CircuitSpacetime(4, 3, layers, dims)
+    p = ProbeCoupling("P", 2, random_density(2, rng),
+                      (((2, 3), haar_unitary(4, rng)), ((0, 1), haar_unitary(6, rng))),
+                      cells([(0, 1), (2, 3)]),
+                      tuple(haar_unitary(2, rng) for _ in range(3)))
+    q = ProbeCoupling("Q", 3, random_density(3, rng),
+                      (((1, 2), haar_unitary(6, rng)), ((1, 0), haar_unitary(6, rng))),
+                      cells([(1, 0), (1, 2)]),
+                      tuple(haar_unitary(3, rng) for _ in range(3)))
+    return c, p, q
+
+
+@pytest.mark.parametrize("coupled", [(), ("P",), ("Q",), ("P", "Q")])
+def test_gate_local_map_matches_embed_and_multiply(coupled):
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        c, p, q = mixed_dim_instance(rng)
+        sm = scattering_map(c, p, q, coupled=coupled)
+        sp, v0, v, prefix = embed_and_multiply(c, (p, q), coupled)
+        assert sm.space == sp
+        assert opnorm(sm.v0 - v0) <= 1e-12
+        assert opnorm(sm.v - v) <= 1e-12
+        assert opnorm(sm.s - dag(v0) @ v) <= 1e-12
+        assert len(sm.free_prefix) == len(prefix)
+        for got, want in zip(sm.free_prefix, prefix):
+            assert opnorm(got - want) <= 1e-12
+        a = random_hermitian(3, rng)
+        want = dag(prefix[2]) @ _embed_matrix(a, ["s1"], sp) @ prefix[2]
+        assert opnorm(cell_operator(sm, (2, 1), a) - want) <= 1e-12
+        # induced observable and selective update against full-space filters
+        b, sigma = random_effect(3, rng), random_density(3, rng)
+        big = dag(sm.s) @ _embed_matrix(b, ["Q"], sp) @ sm.s
+        w = _embed_matrix(p.sigma, ["P"], sp) @ _embed_matrix(sigma, ["Q"], sp)
+        want = _ptrace_matrix(w @ big, sp, list(c.site_labels))
+        got = induced_observable(sm, b, sigma=sigma, probe="Q")
+        assert opnorm(got - want) <= 1e-12
+        omega = random_density(24, rng)
+        rho = sm.theta_dual(np.kron(np.kron(omega, p.sigma), q.sigma))
+        num = _ptrace_matrix(rho @ _embed_matrix(b, ["Q"], sp), sp, list(c.site_labels))
+        num = (num + dag(num)) / 2
+        state, prob = update_selective(sm, omega, b, probe="Q")
+        assert abs(prob - np.trace(num).real) <= 1e-12
+        assert opnorm(state - num / prob) <= 1e-12
+
+
+def test_fv_path_forms_no_full_space_gate(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("full-space gate embedded")
+    monkeypatch.setattr(qops, "_embed_matrix", refuse)
+    monkeypatch.setattr(fv, "_embed_matrix", refuse, raising=False)
+    rng = np.random.default_rng(24)
+    c = random_brickwork(rng, 5, 3)
+    p1 = qubit_probe("P1", [(0, 0)], rng, free=(haar_unitary(2, rng),) * 3)
+    p2 = qubit_probe("P2", [(1, 3), (2, 1)], rng)
+    sm = scattering_map(c, p1, p2)
+    assert opnorm(sm.s @ dag(sm.s) - np.eye(sm.space.dim)) < 1e-12
+    cell_operator(sm, (3, 4), SZ)
+    induced_observable(sm, GROUND, probe="P2")
+    assert bostelmann_check(c, p1, p2, cells([(3, 4)]), rng=rng).residual < 1e-12
+    omega = random_density(32, rng)
+    assert corollary6_check(c, omega, p1, p2, GROUND, GROUND).residual < 1e-12

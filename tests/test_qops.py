@@ -298,3 +298,17 @@ def test_random_generators_are_valid():
     assert w.min() > -1e-12 and w.max() < 1 + 1e-12
     a, b = ro.random_commuting_pair(4, rng)
     assert q.opnorm(q.commutator(a, b)) < 1e-12
+
+
+@pytest.mark.parametrize("targets", [("s2", "s0"), ("P", "s1"), ("s1",), ("s1", "s2"),
+                                     ("s3", "P"), ("P", "s0", "s2")])
+def test_apply_matrix_matches_embed_then_multiply(targets):
+    rng = np.random.default_rng(40)
+    sp = q.space(("s0", 2), ("s1", 3), ("s2", 2), ("s3", 2), ("P", 3))
+    d_t = int(np.prod([sp.dim_of(l) for l in targets]))
+    op = ro.haar_unitary(d_t, rng)
+    m = ro.haar_unitary(sp.dim, rng)
+    want = q._embed_matrix(op, targets, sp) @ m
+    got = q._apply_matrix(op, targets, sp, m)
+    assert got.shape == m.shape
+    assert q.opnorm(got - want) <= 1e-12
