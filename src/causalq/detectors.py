@@ -25,19 +25,18 @@ order by order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dfield
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .causal import CellRegion, cells, classify_configuration, precedes, spacelike
 from .config import DEFAULT, Tolerances
-from .errors import (CausalqError, NotCausallyOrderable, NotSorkinType,
-                     ZeroProbability)
-from .field import FieldModel, FockBackend, SmearingFn, _mode_kernel
-from .qops import (LocalOperator, ProductSpace, dag, embed, herm_defect,
-                   opnorm, sigma_m, sigma_p)
+from .errors import CausalqError, NotCausallyOrderable, NotSorkinType
+from .field import FieldModel, FockBackend, SmearingFn, _kernel
+from .qops import (LocalOperator, ProductSpace, commutator, dag, embed,
+                   expih, herm_defect, opnorm, select_outcome, sigma_m,
+                   sigma_p)
 
 __all__ = [
     "DetectorSpec", "PerturbativeState", "FactorizationResult", "MatrixPoly",
@@ -161,36 +160,31 @@ class PerturbativeState:
     orders: tuple[np.ndarray, ...]
     signal: np.ndarray
     noise: np.ndarray
+    tol: Tolerances = dfield(default=DEFAULT, repr=False)
 
     def __post_init__(self):
-        if abs(np.trace(self.orders[0]) - 1.0) > 1e-10:
+        if abs(np.trace(self.orders[0]) - 1.0) > self.tol.trace:
             raise ValueError("zeroth order must have unit trace")
         for k, m in enumerate(self.orders[1:], start=1):
-            if abs(np.trace(m)) > 1e-10:
+            if abs(np.trace(m)) > self.tol.trace:
                 raise ValueError(f"order {k} term must be traceless")
         for m in self.orders:
-            if herm_defect(m) > 1e-10 * max(1.0, opnorm(m)):
+            if herm_defect(m) > self.tol.hermitian * max(1.0, opnorm(m)):
                 raise ValueError("order terms must be Hermitian")
 
     def evaluate(self) -> np.ndarray:
         return sum(self.orders)
 
 
-def _slab_kernel(f: FieldModel, prof_l: Mapping[int, float],
-                 prof_r: Mapping[int, float], dn: int,
-                 modes: Sequence[int] | None = None) -> complex:
-    """a^2 sum F_l(s) F_r(s') <[phi(n, s), phi(n - dn, s')]> at step offset dn."""
+def _slab(f: FieldModel, prof_l: Mapping[int, float], prof_r: Mapping[int, float],
+          dn: int, modes: Sequence[int] | None, kind: str) -> complex:
+    """a^2 sum F_l(s) F_r(s') K(n, s; n - dn, s') for the vacuum kernel `kind`
+    ("commutator" or "wightman") at step offset dn."""
     sl = np.array(sorted(prof_l))
     sr = np.array(sorted(prof_r))
     wl = np.array([prof_l[s] for s in sl])
     wr = np.array([prof_r[s] for s in sr])
-    ds = np.subtract.outer(sl, sr)
-    if modes is not None:
-        ker = _mode_kernel(f, modes, np.full_like(ds, dn), ds, "commutator")
-    elif dn >= 0:
-        ker = f._ctab[dn, ds % f.sites]
-    else:
-        ker = -f._ctab[-dn, (-ds) % f.sites]
+    ker = _kernel(f, dn, np.subtract.outer(sl, sr), modes, kind)
     return complex(f.spacing ** 2 * np.einsum("i,ij,j->", wl, ker, wr))
 
 
@@ -223,18 +217,7 @@ def signal_noise_split(a: DetectorSpec, b: DetectorSpec, f: FieldModel,
     by trace cyclicity.
     """
     dt = f.dt
-    sig = np.zeros((2, 2), dtype=complex)
-    for n, cb in b.switching.items():
-        com_mu = monopole(b.gap, n * dt) @ rho_b - rho_b @ monopole(b.gap, n * dt)
-        acc = 0.0j
-        for np_, ca in a.switching.items():
-            if n < np_:
-                continue
-            weight = 0.5 if n == np_ else 1.0
-            acc += weight * cb * ca * _mean_moment(rho_a, a.gap, np_ * dt) \
-                * _slab_kernel(f, b.smearing, a.smearing, n - np_, modes)
-        sig += acc * com_mu
-    sig *= -a.coupling * b.coupling * dt * dt
+    sig = -1j * commutator(sigma_operator(a, b, f, rho_a, modes), rho_b)
 
     noise = np.zeros((2, 2), dtype=complex)
     for n, cb in b.switching.items():
@@ -243,7 +226,7 @@ def signal_noise_split(a: DetectorSpec, b: DetectorSpec, f: FieldModel,
             if n < np_:
                 continue
             weight = 0.5 if n == np_ else 1.0
-            wf = _slab_wightman(f, b.smearing, b.smearing, n - np_, modes)
+            wf = _slab(f, b.smearing, b.smearing, n - np_, modes, "wightman")
             mu_p = monopole(b.gap, np_ * dt)
             noise += -weight * cb * cb2 * (
                 wf * (mu_n @ mu_p @ rho_b - mu_p @ rho_b @ mu_n)
@@ -252,21 +235,7 @@ def signal_noise_split(a: DetectorSpec, b: DetectorSpec, f: FieldModel,
 
     zero = np.zeros((2, 2), dtype=complex)
     return PerturbativeState((rho_b.astype(complex), zero, sig + noise),
-                             signal=sig, noise=noise)
-
-
-def _slab_wightman(f: FieldModel, prof_l, prof_r, dn: int,
-                   modes: Sequence[int] | None = None) -> complex:
-    sl = np.array(sorted(prof_l))
-    sr = np.array(sorted(prof_r))
-    wl = np.array([prof_l[s] for s in sl])
-    wr = np.array([prof_r[s] for s in sr])
-    ds = np.subtract.outer(sl, sr)
-    if modes is not None:
-        ker = _mode_kernel(f, modes, np.full_like(ds, dn), ds, "wightman")
-    else:
-        ker = f._wtab[dn + f.steps, ds % f.sites]
-    return complex(f.spacing ** 2 * np.einsum("i,ij,j->", wl, ker, wr))
+                             signal=sig, noise=noise, tol=tol)
 
 
 def sigma_operator(a: DetectorSpec, b: DetectorSpec, f: FieldModel,
@@ -288,7 +257,7 @@ def sigma_operator(a: DetectorSpec, b: DetectorSpec, f: FieldModel,
                 continue
             weight = 0.5 if n == np_ else 1.0
             acc += weight * cb * ca * _mean_moment(rho_a, a.gap, np_ * dt) \
-                * _slab_kernel(f, b.smearing, a.smearing, n - np_, modes)
+                * _slab(f, b.smearing, a.smearing, n - np_, modes, "commutator")
         out += (-1j * acc) * monopole(b.gap, n * dt)
     return a.coupling * b.coupling * dt * dt * out
 
@@ -391,11 +360,7 @@ def _phi_slice(fb: FockBackend, profile: Mapping[int, float], n: int) -> np.ndar
     for s, w in profile.items():
         c = fb.field.spacing * w * fb.phi_coeffs((n, s))
         coeff = c if coeff is None else coeff + c
-    m = np.zeros((fb.space.dim, fb.space.dim), dtype=complex)
-    for c, j in zip(coeff, fb.modes):
-        ann = fb.annihilation(j).matrix
-        m += c * ann + np.conj(c) * dag(ann)
-    return m
+    return fb._from_coeffs(coeff).matrix
 
 
 def _interaction_generators(dets: Sequence[DetectorSpec], fb: FockBackend,
@@ -429,8 +394,9 @@ def scattering_operator(dets: Sequence[DetectorSpec], fb: FockBackend,
     by_step = _interaction_generators(dets, fb, sp, with_coupling=True)
     s = np.eye(sp.dim, dtype=complex)
     for n in sorted(by_step):
-        g = sum(m for _, m in by_step[n])
-        s = expm(g) @ s
+        # each generator is -i K with K = dt lambda chi mu phi Hermitian
+        k = 1j * sum(m for _, m in by_step[n])
+        s = expih(k, -1.0) @ s
     return LocalOperator(sp, s)
 
 
@@ -553,12 +519,7 @@ def detector_update_selective(rho_joint: np.ndarray, s1: np.ndarray,
         raise ValueError("selection must not precede switch-off")
     dim = rho_joint.shape[0]
     proj = np.kron(p2, np.eye(dim // det_dim))
-    evolved = s1 @ rho_joint @ dag(s1)
-    picked = proj @ evolved @ proj
-    p = float(np.real(np.trace(picked)))
-    if p <= 1e-14:
-        raise ZeroProbability(f"selected outcome has probability {p:.3e}")
-    return picked / p, p
+    return select_outcome(proj, s1 @ rho_joint @ dag(s1), tol)
 
 
 def kraus_operators(s1: np.ndarray, psi: np.ndarray, det_dim: int = 2,
@@ -606,7 +567,7 @@ def detector_update_nonselective(rho_f: np.ndarray, s1: np.ndarray,
                                  basis: Sequence[np.ndarray] | None = None,
                                  tol: Tolerances = DEFAULT) -> np.ndarray:
     ns1, ns2 = nonselective_forms(rho_f, s1, psi, det_dim, basis)
-    if opnorm(ns1 - ns2) > 1e-10 * max(1.0, opnorm(ns1)):
+    if opnorm(ns1 - ns2) > tol.operator * max(1.0, opnorm(ns1)):
         raise CausalqError("Kraus sum and partial-trace updates disagree")
     return ns1
 

@@ -267,6 +267,19 @@ def _mode_index(f: FieldModel, j: int) -> int:
     return int(j) % f.sites
 
 
+def _kernel(f: FieldModel, dn, ds: np.ndarray, modes: Sequence[int] | None,
+            kind: str) -> np.ndarray:
+    """Vacuum Wightman or commutator at step offsets dn and site offsets ds,
+    from the cached tables or, with `modes`, from the restricted mode sum."""
+    dn = np.broadcast_to(dn, np.shape(ds))
+    if modes is not None:
+        return _mode_kernel(f, modes, dn, ds, kind)
+    if kind == "wightman":
+        return f._wtab[dn + f.steps, ds % f.sites]
+    return np.where(dn >= 0, f._ctab[np.abs(dn), ds % f.sites],
+                    -f._ctab[np.abs(dn), (-ds) % f.sites])
+
+
 def _pair_sum(f: FieldModel, sa: SmearingFn, sb: SmearingFn,
               modes: Sequence[int] | None, kind: str) -> complex:
     vol = f.dt * f.spacing
@@ -276,15 +289,7 @@ def _pair_sum(f: FieldModel, sa: SmearingFn, sb: SmearingFn,
     ds = np.array([[x[1] - y[1] for (y, _) in pb] for (x, _) in pa])
     wa = np.array([v for _, v in pa])
     wb = np.array([v for _, v in pb])
-    if modes is None:
-        if kind == "wightman":
-            ker = f._wtab[dn + f.steps, ds % f.sites]
-        else:
-            ker = np.where(dn >= 0,
-                           f._ctab[np.abs(dn), ds % f.sites],
-                           -f._ctab[np.abs(dn), (-ds) % f.sites])
-    else:
-        ker = _mode_kernel(f, modes, dn, ds, kind)
+    ker = _kernel(f, dn, ds, modes, kind)
     return complex(vol * vol * np.einsum("i,ij,j->", wa, ker, wb))
 
 

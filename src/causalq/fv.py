@@ -38,10 +38,10 @@ import numpy as np
 from .causal import CellRegion, cells, cone_meets, spacelike
 from .config import DEFAULT, Tolerances
 from .errors import (CouplingOutsideK, DimensionMismatch, GeometryViolation,
-                     NotCausallyOrderable, NotEffect, UnknownLabel,
-                     ZeroProbability)
+                     NotCausallyOrderable, UnknownLabel, ZeroProbability)
 from .qops import (ProductSpace, _apply_matrix, _ptrace_matrix,
-                   _support_defect, dag, herm_defect, opnorm, space)
+                   _support_defect, check_effect, check_unitary, dag,
+                   herm_defect, opnorm, space)
 from .random_ops import haar_unitary, random_density, random_hermitian
 
 __all__ = [
@@ -51,13 +51,6 @@ __all__ = [
     "induced_observable", "update_nonselective", "update_selective",
     "corollary6_check", "bostelmann_check", "cnot_preset", "bostelmann_preset",
 ]
-
-
-def _check_unitary(u: np.ndarray, tol: Tolerances, what: str) -> None:
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DimensionMismatch(f"{what} has shape {u.shape}")
-    if opnorm(u @ dag(u) - np.eye(u.shape[0])) > tol.unitary:
-        raise ValueError(f"{what} is not unitary")
 
 
 def _check_density(m: np.ndarray, dim: int, what: str, tol: Tolerances) -> np.ndarray:
@@ -71,19 +64,6 @@ def _check_density(m: np.ndarray, dim: int, what: str, tol: Tolerances) -> np.nd
     if np.linalg.eigvalsh(m).min() < -tol.positivity:
         raise ValueError(f"{what} is not positive semidefinite")
     return m
-
-
-def _check_effect(b: np.ndarray, dim: int, tol: Tolerances) -> np.ndarray:
-    b = np.asarray(b, dtype=complex)
-    if b.shape != (dim, dim):
-        raise NotEffect(f"effect has shape {b.shape}, expected {(dim, dim)}")
-    if herm_defect(b) > tol.hermitian * max(1.0, opnorm(b)):
-        raise NotEffect("effect is not Hermitian")
-    ev = np.linalg.eigvalsh((b + dag(b)) / 2)
-    if ev.min() < -tol.positivity or ev.max() > 1.0 + tol.positivity:
-        raise NotEffect(f"effect spectrum [{ev.min():.3e}, {ev.max():.3e}] "
-                        "leaves [0, 1]")
-    return b
 
 
 @dataclass(frozen=True)
@@ -134,7 +114,7 @@ class CircuitSpacetime:
                         f"layer {s}: gate at site {site} has shape {u.shape}")
                 if used & set(span):
                     raise ValueError(f"layer {s}: overlapping gates at site {site}")
-                _check_unitary(u, self.tol, f"layer {s}: gate at site {site}")
+                check_unitary(u, self.tol, f"layer {s}: gate at site {site}")
                 used |= set(span)
                 norm.append((span, u))
             layers.append(tuple(norm))
@@ -192,13 +172,13 @@ class ProbeCoupling:
                     f"probe {self.label!r} has gates at {sorted(stray)} "
                     "outside its region")
         for (n, x), u in gates:
-            _check_unitary(u, self.tol, f"gate of {self.label!r} at ({n}, {x})")
+            check_unitary(u, self.tol, f"gate of {self.label!r} at ({n}, {x})")
         if self.free is not None:
             free = tuple(np.asarray(u, dtype=complex) for u in self.free)
             for u in free:
                 if u.shape != (self.dim, self.dim):
                     raise DimensionMismatch("free evolution dim mismatch")
-                _check_unitary(u, self.tol, f"free evolution of {self.label!r}")
+                check_unitary(u, self.tol, f"free evolution of {self.label!r}")
             object.__setattr__(self, "free", free)
 
     @property
@@ -340,7 +320,7 @@ def induced_observable(sm: ScatteringMap, b: np.ndarray,
     of S they drop out of the result.
     """
     p = _resolve_probe(sm, probe)
-    b = _check_effect(b, p.dim, tol)
+    b = check_effect(b, p.dim, tol)
     if sigma is None:
         sigma = p.sigma
     else:
@@ -396,7 +376,7 @@ def update_selective(sm: ScatteringMap, omega: np.ndarray, b: np.ndarray,
     B = 1 performs no filtering and reproduces the non-selective update.
     """
     p = _resolve_probe(sm, probe)
-    b = _check_effect(b, p.dim, tol)
+    b = check_effect(b, p.dim, tol)
     overrides = None
     if sigma is not None:
         overrides = {p.label: _check_density(sigma, p.dim, "probe preparation",
@@ -422,8 +402,8 @@ def corollary6_check(c: CircuitSpacetime, omega: np.ndarray,
     if p1.gates and p2.gates and cone_meets(p2.region, p1.region):
         raise NotCausallyOrderable(
             f"region of {p2.label!r} meets the past of {p1.label!r}")
-    b1 = _check_effect(b1, p1.dim, tol)
-    b2 = _check_effect(b2, p2.dim, tol)
+    b1 = check_effect(b1, p1.dim, tol)
+    b2 = check_effect(b2, p2.dim, tol)
     sm12 = scattering_map(c, p1, p2)
     sm1 = scattering_map(c, p1, p2, coupled=(p1.label,))
     sm2 = scattering_map(c, p1, p2, coupled=(p2.label,))

@@ -33,7 +33,6 @@ from itertools import product as index_product
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .causal import Rect, CellRegion, build_order
 from .config import DEFAULT, Tolerances
@@ -41,7 +40,8 @@ from .errors import (CommutationPrecondition, DimensionMismatch,
                      InvalidProjector, NotExclusive, NotHermitian,
                      SpaceMismatch)
 from .qops import (DensityState, LocalOperator, ProductSpace,
-                   ProjectiveResolution, dag, herm_defect, opnorm)
+                   ProjectiveResolution, check_unitary, dag, expih,
+                   herm_defect, luders_sum, opnorm, projector_defect)
 from .random_ops import random_density
 
 __all__ = [
@@ -65,7 +65,7 @@ def _state_matrix(rho0, sp: ProductSpace) -> np.ndarray:
 def _heisenberg(p: np.ndarray, t: float, h: np.ndarray | None) -> np.ndarray:
     if h is None or t == 0.0:
         return p
-    u = expm(1j * t * h)
+    u = expih(h, t)
     return u @ p @ dag(u)
 
 
@@ -97,10 +97,10 @@ class History:
         for i, (proj, _, _) in enumerate(steps):
             if proj.space != sp:
                 raise SpaceMismatch(f"step {i} lives on a different space")
-            m = proj.matrix
-            if herm_defect(m) > self.tol.projector:
+            herm, idem = projector_defect(proj.matrix)
+            if herm > self.tol.projector:
                 raise InvalidProjector(f"step {i} operator is not Hermitian")
-            if opnorm(m @ m - m) > self.tol.projector:
+            if idem > self.tol.projector:
                 raise InvalidProjector(f"step {i} operator is not idempotent")
         times = [s.time for s in steps]
         if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
@@ -320,7 +320,7 @@ def fuksa_bipartite(res1: ProjectiveResolution, res2: ProjectiveResolution,
     rho = _state_matrix(rho0, res1.space)
     p1 = [p.matrix for p in res1.projectors]
     p2 = [p.matrix for p in res2.projectors]
-    measured = sum(p @ rho @ p for p in p1)
+    measured = luders_sum(p1, rho)
     shifts = tuple(
         float(abs(np.real(np.trace(measured @ q)) - np.real(np.trace(rho @ q))))
         for q in p2)
@@ -406,13 +406,12 @@ def fuksa_tripartite(res1: ProjectiveResolution, res2: ProjectiveResolution,
         u = np.asarray(u, dtype=complex)
         if u.shape != (sp.dim, sp.dim):
             raise DimensionMismatch("kick unitary does not match the space")
-        if opnorm(u @ dag(u) - np.eye(sp.dim)) > tol.unitary:
-            raise ValueError("kick is not unitary")
+        check_unitary(u, tol, "kick")
     meas_shift = 0.0
     kick_shift = 0.0
     for rho in states:
         base = _joint_probs(later, rho)
-        measured = sum(p @ rho @ p for p in p1)
+        measured = luders_sum(p1, rho)
         meas_shift = max(meas_shift, np.abs(_joint_probs(later, measured) - base).max())
         for u in kicks:
             kicked = u @ rho @ dag(u)

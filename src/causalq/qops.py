@@ -3,6 +3,14 @@
 States are kept in the Schroedinger picture; Heisenberg operators are produced
 on demand by conjugation.  All matrices are dense complex arrays and the total
 dimension is capped at 2**14, which covers every scenario in this package.
+
+Every module builds on one primitive per idea, each working on plain arrays:
+
+* `expih(h, t)`: the Hermitian exponential exp(i t h), from one `eigh`;
+* `luders_sum(projectors, x)`: the non-selective Lueders sum sum_n P_n x P_n;
+* `select_outcome(p, rho, tol)`: the selective step (P rho P / w, w);
+* `check_unitary`, `check_effect`: validation against `Tolerances`, and
+  `projector_defect`, the measure that projector checks compare with it.
 """
 from __future__ import annotations
 
@@ -22,6 +30,8 @@ __all__ = [
     "spectral_resolution", "born_probability", "luders_nonselective",
     "luders_selective", "partial_trace", "expectation",
     "basis_ket", "pure_state", "dag", "commutator", "opnorm", "herm_defect",
+    "expih", "luders_sum", "select_outcome", "check_unitary", "check_effect",
+    "projector_defect",
     "sigma_x", "sigma_y", "sigma_z", "sigma_p", "sigma_m", "eye2",
 ]
 
@@ -51,6 +61,57 @@ def opnorm(a: np.ndarray) -> float:
 
 def herm_defect(a: np.ndarray) -> float:
     return opnorm(a - dag(a))
+
+
+def projector_defect(m: np.ndarray) -> tuple[float, float]:
+    """(Hermiticity, idempotence) defects; both vanish for an orthogonal projector."""
+    return herm_defect(m), opnorm(m @ m - m)
+
+
+def expih(h: np.ndarray, t: float) -> np.ndarray:
+    """exp(i t h) for Hermitian h, from one eigendecomposition."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * t * w)) @ dag(v)
+
+
+def luders_sum(projectors: Iterable[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """sum_n P_n x P_n, the non-selective Lueders update of x."""
+    out = np.zeros(x.shape, dtype=complex)
+    for p in projectors:
+        out += p @ x @ p
+    return out
+
+
+def select_outcome(p: np.ndarray, rho: np.ndarray,
+                   tol: Tolerances) -> tuple[np.ndarray, float]:
+    """Selective step (P rho P / w, w) with weight w = tr(P rho P)."""
+    num = p @ rho @ p
+    w = float(np.real(np.trace(num)))
+    if w <= tol.probability:
+        raise ZeroProbability(f"selected outcome has probability {w:.3e}")
+    return num / w, w
+
+
+def check_unitary(u: np.ndarray, tol: Tolerances, what: str) -> None:
+    """Refuse a non-square or non-unitary matrix, naming it as `what`."""
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise DimensionMismatch(f"{what} has shape {u.shape}")
+    if opnorm(u @ dag(u) - np.eye(u.shape[0])) > tol.unitary:
+        raise ValueError(f"{what} is not unitary")
+
+
+def check_effect(b, dim: int, tol: Tolerances) -> np.ndarray:
+    """Return `b` as a dim x dim array after checking 0 <= b <= 1."""
+    b = np.asarray(b, dtype=complex)
+    if b.shape != (dim, dim):
+        raise NotEffect(f"effect has shape {b.shape}, expected {(dim, dim)}")
+    if herm_defect(b) > tol.hermitian * max(1.0, opnorm(b)):
+        raise NotEffect("effect is not Hermitian")
+    ev = np.linalg.eigvalsh((b + dag(b)) / 2)
+    if ev.min() < -tol.positivity or ev.max() > 1.0 + tol.positivity:
+        raise NotEffect(f"effect spectrum [{ev.min():.3e}, {ev.max():.3e}] "
+                        "leaves [0, 1]")
+    return b
 
 
 def basis_ket(dim: int, i: int) -> np.ndarray:
@@ -303,9 +364,10 @@ class ProjectiveResolution:
         tot = np.zeros((self.space.dim, self.space.dim), dtype=complex)
         mats = [p.matrix for p in self.projectors]
         for i, p in enumerate(mats):
-            if herm_defect(p) > self.tol.projector:
+            herm, idem = projector_defect(p)
+            if herm > self.tol.projector:
                 raise NotHermitian(f"projector {i} not Hermitian")
-            if opnorm(p @ p - p) > self.tol.projector:
+            if idem > self.tol.projector:
                 raise ValueError(f"projector {i} not idempotent")
             tot += p
         for i in range(len(mats)):
@@ -381,12 +443,7 @@ def born_probability(rho: DensityState, e: LocalOperator,
                      tol: Tolerances = DEFAULT) -> float:
     """tr(rho E) for an effect 0 <= E <= 1, clamped to [0, 1]."""
     _check_space(rho, e)
-    m = e.matrix
-    if herm_defect(m) > tol.projector * _scale(m):
-        raise NotEffect("effect is not Hermitian")
-    w = np.linalg.eigvalsh((m + dag(m)) / 2)
-    if w.min() < -tol.positivity or w.max() > 1.0 + tol.positivity:
-        raise NotEffect(f"effect spectrum [{w.min():.3e}, {w.max():.3e}] not in [0,1]")
+    m = check_effect(e.matrix, rho.space.dim, tol)
     p = float(np.real(np.trace(rho.matrix @ m)))
     return min(1.0, max(0.0, p))
 
@@ -395,23 +452,17 @@ def luders_nonselective(rho: DensityState, r: ProjectiveResolution) -> DensitySt
     """rho -> sum_n E_n rho E_n."""
     if r.space != rho.space:
         raise SpaceMismatch("resolution and state live on different spaces")
-    out = np.zeros_like(rho.matrix)
-    for p in r.projectors:
-        out += p.matrix @ rho.matrix @ p.matrix
+    out = luders_sum((p.matrix for p in r.projectors), rho.matrix)
     return DensityState(rho.space, out, rho.tol)
 
 
 def luders_selective(rho: DensityState, e: LocalOperator,
                      tol: Tolerances = DEFAULT) -> tuple[DensityState, float]:
-    """Conditional update (E rho E / p, p) with p = tr(rho E)."""
+    """Conditional update (E rho E / p, p) with p = tr(E rho E)."""
     _check_space(rho, e)
-    m = e.matrix
-    if opnorm(m @ m - m) > tol.projector or herm_defect(m) > tol.projector:
+    if max(projector_defect(e.matrix)) > tol.projector:
         raise NotEffect("selective update requires a projector")
-    p = float(np.real(np.trace(rho.matrix @ m)))
-    if p <= tol.probability:
-        raise ZeroProbability(f"outcome probability {p:.3e}")
-    out = m @ rho.matrix @ m / p
+    out, p = select_outcome(e.matrix, rho.matrix, tol)
     return DensityState(rho.space, out, rho.tol), p
 
 

@@ -17,16 +17,17 @@ from itertools import product as iproduct
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .causal import Region, build_order, fig2_preset, spacelike
 from .config import DEFAULT, Tolerances
-from .errors import (BasisEmpty, OrderSensitivity, SpaceMismatch,
-                     UnknownParameter, UnknownPreset, ZeroProbability)
+from .errors import (BasisEmpty, NotEffect, OrderSensitivity, SpaceMismatch,
+                     UnknownParameter, UnknownPreset)
 from .field import FieldModel, fock_backend
-from .qops import (DensityState, LocalOperator, ProductSpace, commutator,
-                   dag, embed, eye2, herm_defect, opnorm, pure_state,
-                   qubit_space, sigma_x, sigma_y, sigma_z, spectral_resolution)
+from .qops import (DensityState, LocalOperator, ProductSpace, check_unitary,
+                   commutator, dag, embed, expih, eye2, herm_defect,
+                   luders_sum, opnorm, projector_defect, pure_state,
+                   qubit_space, select_outcome, sigma_x, sigma_y, sigma_z,
+                   spectral_resolution)
 
 __all__ = [
     "LocalOperation", "Scenario", "SignallingReport",
@@ -49,9 +50,7 @@ class LocalOperation:
 
 def kick(u: LocalOperator, region: Region, tol: Tolerances = DEFAULT) -> LocalOperation:
     """Fixed local unitary."""
-    m = u.matrix
-    if opnorm(m @ dag(m) - np.eye(m.shape[0])) > tol.unitary:
-        raise ValueError("kick operator is not unitary")
+    check_unitary(u.matrix, tol, "kick operator")
     return LocalOperation("kick", region, u)
 
 
@@ -70,8 +69,11 @@ def measure(a: LocalOperator, region: Region,
     return LocalOperation("measure", region, a, bins=b)
 
 
-def select(p: LocalOperator, region: Region, name: str | None = None) -> LocalOperation:
+def select(p: LocalOperator, region: Region, name: str | None = None,
+           tol: Tolerances = DEFAULT) -> LocalOperation:
     """Selective update on a projector outcome; probability recorded if named."""
+    if max(projector_defect(p.matrix)) > tol.projector:
+        raise NotEffect("select operator is not a projector")
     return LocalOperation("select", region, p, name=name)
 
 
@@ -129,33 +131,30 @@ class SignallingReport:
     order_check: tuple | None = None
 
 
-def _apply(rho: np.ndarray, op: LocalOperation, params: Mapping[str, float],
-           results: dict, tol: Tolerances) -> np.ndarray:
-    if op.kind == "kick":
-        if op.parametric:
-            v = float(params.get(op.name, 0.0))
-            u = expm(1j * v * op.operator.matrix)
-        else:
-            u = op.operator.matrix
-        return u @ rho @ dag(u)
+def _prepare(op: LocalOperation, params: Mapping[str, float], tol: Tolerances):
+    """The matrices `op` applies: a unitary, eigenprojectors, or its operator."""
+    if op.kind == "kick" and op.parametric:
+        return expih(op.operator.matrix, float(params.get(op.name, 0.0)))
     if op.kind == "measure":
-        r = spectral_resolution(op.operator, op.bins, tol)
-        out = np.zeros_like(rho)
-        for p in r.projectors:
-            out += p.matrix @ rho @ p.matrix
-        return out
+        return [p.matrix for p in spectral_resolution(op.operator, op.bins, tol)]
+    if op.kind in ("kick", "select", "observe"):
+        return op.operator.matrix
+    raise ValueError(f"unknown operation kind {op.kind!r}")
+
+
+def _apply(rho: np.ndarray, op: LocalOperation, m, results: dict,
+           tol: Tolerances) -> np.ndarray:
+    if op.kind == "kick":
+        return m @ rho @ dag(m)
+    if op.kind == "measure":
+        return luders_sum(m, rho)
     if op.kind == "select":
-        p = op.operator.matrix
-        w = float(np.real(np.trace(rho @ p)))
-        if w <= tol.probability:
-            raise ZeroProbability(f"selected outcome has probability {w:.3e}")
+        rho, w = select_outcome(m, rho, tol)
         if op.name:
             results[op.name] = w
-        return p @ rho @ p / w
-    if op.kind == "observe":
-        results[op.name] = float(np.real(np.trace(rho @ op.operator.matrix)))
         return rho
-    raise ValueError(f"unknown operation kind {op.kind!r}")
+    results[op.name] = float(np.real(np.trace(rho @ m)))
+    return rho
 
 
 def run(s: Scenario, params: Mapping[str, float] | None = None) -> dict[str, float]:
@@ -163,7 +162,8 @@ def run(s: Scenario, params: Mapping[str, float] | None = None) -> dict[str, flo
 
     For up to six operations every linear extension of the causal order is
     evaluated and the recorded values compared; disagreement beyond tolerance
-    raises OrderSensitivity.
+    raises OrderSensitivity.  Each operation's matrices (kick unitary,
+    eigenprojectors) are prepared once per call and shared by all extensions.
     """
     params = dict(params or {})
     declared = {op.name for op in s.operations if op.parametric}
@@ -175,12 +175,13 @@ def run(s: Scenario, params: Mapping[str, float] | None = None) -> dict[str, flo
     order = build_order([op.region for op in s.operations])
     gen = order.linear_extensions()
     exts = [next(gen)] if len(s.operations) > 6 else list(gen)
+    mats = [_prepare(op, params, s.tol) for op in s.operations]
     all_results = []
     for ext in exts:
         rho = s.initial.matrix.copy()
         results: dict[str, float] = {}
         for idx in ext:
-            rho = _apply(rho, s.operations[idx], params, results, s.tol)
+            rho = _apply(rho, s.operations[idx], mats[idx], results, s.tol)
         all_results.append(results)
     first = all_results[0]
     for other in all_results[1:]:
@@ -212,18 +213,11 @@ def signalling_delta(s: Scenario, observable: str | None = None) -> SignallingRe
     return SignallingReport(observable, base, grid, tuple(vals), delta)
 
 
-def _conditional_expectation(a3: np.ndarray, projectors) -> np.ndarray:
-    out = np.zeros_like(a3)
-    for p in projectors:
-        out += p.matrix @ a3 @ p.matrix
-    return out
-
-
 def borsten_violation(a2: LocalOperator, a1: LocalOperator, a3: LocalOperator,
                       bins=None, tol: Tolerances = DEFAULT) -> float:
     """Commutator norm of the measured-and-averaged A3 with A1."""
     r = spectral_resolution(a2, bins, tol)
-    cond = _conditional_expectation(a3.matrix, r.projectors)
+    cond = luders_sum((p.matrix for p in r), a3.matrix)
     return opnorm(commutator(cond, a1.matrix))
 
 
@@ -240,11 +234,11 @@ def borsten_check(a2: LocalOperator, bins,
     """
     if not alg1_basis or not alg3_basis:
         raise BasisEmpty("need non-empty operator bases for both regions")
-    r = spectral_resolution(a2, bins, tol)
+    projectors = [p.matrix for p in spectral_resolution(a2, bins, tol)]
     worst = 0.0
     witness = None
     for a3 in alg3_basis:
-        cond = _conditional_expectation(a3.matrix, r.projectors)
+        cond = luders_sum(projectors, a3.matrix)
         for a1 in alg1_basis:
             v = opnorm(commutator(cond, a1.matrix))
             if v > worst:

@@ -358,7 +358,7 @@ def build_scenario(doc: Mapping, tol: Tolerances = DEFAULT) -> Scenario:
             bins = entry.get("bins")
             ops.append(measure(op, region, bins))
         elif kind == "select":
-            ops.append(select(op, region, entry.get("name")))
+            ops.append(select(op, region, entry.get("name"), tol))
         else:
             if "name" not in entry:
                 raise ValidationError(f"operations/{i}: observe needs a name")

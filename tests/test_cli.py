@@ -2,11 +2,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import causalq
 from causalq import __version__
 from causalq.cli import main
 from causalq.errors import ParseError, ValidationError
@@ -393,6 +397,26 @@ def test_document_tolerances_reach_fv_validation(tmp_path, capsys):
                      "--suite", "fv", "--out", tmp_path)
     assert rc == 3
     assert "not unitary" in err
+
+
+def test_select_with_non_projector_fails(tmp_path, capsys):
+    doc = {"geometry": {"preset": "fig2"},
+           "space": {"qubits": ["A", "B"], "state": [0.8, 0, 0.6, 0]},
+           "operations": [
+               {"kind": "select", "region": "O2", "name": "p",
+                "operator": {"pauli": "Z", "factor": "A"}},
+               {"kind": "observe", "region": "O3", "name": "C",
+                "operator": {"pauli": "Z", "factor": "A"}}]}
+    rc, _, err = cli(capsys, "run", write_doc(tmp_path, doc), "--out", tmp_path)
+    assert rc == 3
+    assert "not a projector" in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(causalq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import causalq.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_unknown_tolerance_key_exit_2(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 from scipy.linalg import expm
 
 from causalq.causal import cells, spacelike
+from causalq.config import DEFAULT
 from causalq.detectors import (
     DetectorSpec, MatrixPoly, PerturbativeState, bipartite_presets,
     box_profile, causal_factorization_check, current_microcausality,
@@ -11,8 +12,10 @@ from causalq.detectors import (
     dual_map_commutator, gaussian_profile, joint_space, joint_state,
     kraus_operators, kraus_series, monopole, nonselective_forms,
     point_detector, power_fit_slope, scattering_operator, scattering_series,
-    sigma_operator, signal_noise_split, trace_norm, tripartite_order_count)
-from causalq.errors import NotCausallyOrderable, NotSorkinType, ZeroProbability
+    sigma_operator, signal_noise_split, trace_norm, tripartite_order_count,
+    _mean_moment, _slab)
+from causalq.errors import (CausalqError, NotCausallyOrderable, NotSorkinType,
+                            ZeroProbability)
 from causalq.field import FieldModel, SmearingFn, fock_backend
 from causalq.qops import dag, opnorm, sigma_x, sigma_y
 
@@ -125,6 +128,58 @@ def test_sigma_reproduces_signal_everywhere():
         assert opnorm(sg - dag(sg)) < 1e-12
         com = -1j * (sg @ p["rho_b"] - p["rho_b"] @ sg)
         assert trace_norm(com - ps.signal) < 1e-12, p["tag"]
+
+
+def _signal_double_loop(a, b, f, rho_a, rho_b, modes=None):
+    """Signal term summed directly as -lA lB dt^2 sum w chiB chiA mA K [muB, rhoB]."""
+    dt = f.dt
+    sig = np.zeros((2, 2), dtype=complex)
+    for n, cb in b.switching.items():
+        com_mu = monopole(b.gap, n * dt) @ rho_b - rho_b @ monopole(b.gap, n * dt)
+        acc = 0.0j
+        for np_, ca in a.switching.items():
+            if n < np_:
+                continue
+            weight = 0.5 if n == np_ else 1.0
+            acc += weight * cb * ca * _mean_moment(rho_a, a.gap, np_ * dt) \
+                * _slab(f, b.smearing, a.smearing, n - np_, modes, "commutator")
+        sig += acc * com_mu
+    return sig * (-a.coupling * b.coupling * dt * dt)
+
+
+def test_signal_matches_double_loop_reference():
+    for p in bipartite_presets(F64):
+        ps = signal_noise_split(p["a"], p["b"], F64, p["rho_a"], p["rho_b"])
+        ref = _signal_double_loop(p["a"], p["b"], F64, p["rho_a"], p["rho_b"])
+        assert trace_norm(ps.signal - ref) < 1e-12, p["tag"]
+    a = DetectorSpec("A", 0.8, 0.3, {1: 1.0, 2: 0.7}, {0: 1.0, 1: 0.6})
+    b = DetectorSpec("B", 0.6, 0.3, {2: 0.9, 3: 1.0}, {5: 1.0, 6: 0.5})
+    ps = signal_noise_split(a, b, F12, PLUS, GROUND, modes=[3, -3])
+    ref = _signal_double_loop(a, b, F12, PLUS, GROUND, modes=[3, -3])
+    assert trace_norm(ps.signal - ref) < 1e-12
+    assert trace_norm(ref) > 1e-4
+
+
+def test_detector_tolerances_are_read():
+    p = bipartite_presets(F64)[0]
+    off = p["rho_b"] + np.diag([1e-13, 0.0])  # trace 1 + 1e-13
+    signal_noise_split(p["a"], p["b"], F64, p["rho_a"], off)
+    with pytest.raises(ValueError, match="unit trace"):
+        signal_noise_split(p["a"], p["b"], F64, p["rho_a"], off,
+                           tol=DEFAULT.replace(trace=1e-14))
+    _, s1, rho_f = _single_detector_setup()
+    rho_joint = np.kron(np.outer(PSI_PLUS, PSI_PLUS.conj()), rho_f)
+    excited = np.array([[1, 0], [0, 0]], dtype=complex)
+    _, w = detector_update_selective(rho_joint, s1, excited)
+    with pytest.raises(ZeroProbability):
+        detector_update_selective(rho_joint, s1, excited,
+                                  tol=DEFAULT.replace(probability=w))
+    # an incomplete readout basis makes the Kraus sum miss one outcome
+    partial = [np.array([1.0, 0.0], dtype=complex)]
+    with pytest.raises(CausalqError, match="disagree"):
+        detector_update_nonselective(rho_f, s1, PSI_PLUS, basis=partial)
+    detector_update_nonselective(rho_f, s1, PSI_PLUS, basis=partial,
+                                 tol=DEFAULT.replace(operator=10.0))
 
 
 def test_decoupled_sender_gives_no_signal():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from causalq import qops as q
 from causalq import random_ops as ro
@@ -194,6 +195,27 @@ def test_luders_selective_basis_projector_on_mixed():
     out, p = q.luders_selective(rho, e00)
     assert abs(p - 0.25) < 1e-14
     assert np.allclose(out.matrix, np.diag([1.0, 0, 0, 0]))
+
+
+def test_luders_selective_rejects_non_projector():
+    rho = q.DensityState.maximally_mixed(q.qubit_space("A"))
+    with pytest.raises(NotEffect):
+        q.luders_selective(rho, q.LocalOperator(rho.space, q.sigma_z))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 17, 32, 64])
+@pytest.mark.parametrize("t", [0.9, -1.7])
+def test_expih_matches_expm(dim, t):
+    rng = np.random.default_rng(dim)
+    h = ro.random_hermitian(dim, rng, scale=1 / np.sqrt(dim))
+    assert q.opnorm(q.expih(h, t) - expm(1j * t * h)) < 1e-12
+
+
+def test_expih_degenerate_spectrum():
+    v = ro.haar_unitary(8, np.random.default_rng(3))
+    h = v @ np.diag([1.0, 1.0, 1.0, -2.0, -2.0, 0.5, 0.5, 0.5]) @ q.dag(v)
+    for t in (0.4, -2.3):
+        assert q.opnorm(q.expih(h, t) - expm(1j * t * h)) < 1e-12
 
 
 def test_luders_selective_zero_probability():

@@ -6,8 +6,9 @@ from scipy.linalg import expm
 import causalq.qops as q
 import causalq.scenarios as sc
 from causalq.causal import fig2_preset, rect
-from causalq.errors import (BasisEmpty, OrderSensitivity, SpaceMismatch,
-                            UnknownParameter, UnknownPreset, ZeroProbability)
+from causalq.errors import (BasisEmpty, NotEffect, OrderSensitivity,
+                            SpaceMismatch, UnknownParameter, UnknownPreset,
+                            ZeroProbability)
 from causalq.random_ops import random_density, random_hermitian
 
 
@@ -116,6 +117,36 @@ def test_select_zero_probability():
     s, _ = _qubit_scenario(ops)
     with pytest.raises(ZeroProbability):
         sc.run(s)
+
+
+def test_select_rejects_non_projector():
+    sp = q.qubit_space("A")
+    with pytest.raises(NotEffect):
+        sc.select(q.embed(q.sigma_z, "A", sp), rect(0, 1, 0, 1), "p")
+
+
+def test_run_resolves_each_measurement_once(monkeypatch):
+    calls = []
+    resolve = sc.spectral_resolution
+
+    def counted(a, *args, **kwargs):
+        calls.append(a)
+        return resolve(a, *args, **kwargs)
+    monkeypatch.setattr(sc, "spectral_resolution", counted)
+    sp = q.qubit_space("A", "B")
+    # three mutually spacelike, pairwise commuting operations: 6 extensions
+    ops = (
+        sc.kick_generator(q.embed(q.sigma_x, "A", sp), rect(0, 1, -6, -5), "g"),
+        sc.measure(q.embed(q.sigma_x, "A", sp), rect(0, 1, -0.5, 0.5)),
+        sc.measure(q.embed(q.sigma_z, "B", sp), rect(0, 1, 5, 6)),
+        sc.observe(q.embed(q.sigma_x, "A", sp), rect(20, 21, -0.5, 0.5), "C"),
+    )
+    init = q.pure_state(np.kron([1, 0], [1, 1]).astype(complex), sp)
+    s = sc.Scenario(sp, init, ops)
+    order = sc.build_order([op.region for op in ops])
+    assert len(list(order.linear_extensions())) == 6
+    sc.run(s, {"g": 0.3})
+    assert [id(a) for a in calls] == [id(ops[1].operator), id(ops[2].operator)]
 
 
 def test_spacelike_noncommuting_kicks_raise_order_sensitivity():
