@@ -223,9 +223,6 @@ class CausalOrder:
         """True when region i is (weakly) before region j in the closure."""
         return bool(self.leq[i, j])
 
-    def comparable(self, i: int, j: int) -> bool:
-        return bool(self.leq[i, j] or self.leq[j, i])
-
     def linear_extensions(self, limit: int = 8) -> Iterator[tuple[int, ...]]:
         """All total orders refining the partial order (Kahn enumeration)."""
         n = len(self)

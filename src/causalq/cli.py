@@ -28,7 +28,7 @@ from .errors import (CausalqError, ParseError, UnknownParameter,
                      UnknownPreset, ValidationError)
 from .fv import (bostelmann_check, bostelmann_preset, cnot_preset,
                  corollary6_check, induced_observable, scattering_map)
-from .histories import consistency_check, decoherence, fuksa_bipartite, fuksa_tripartite
+from .histories import decoherence, fuksa_bipartite, fuksa_tripartite
 from .qops import opnorm, sigma_x
 from .random_ops import random_density, random_effect
 from .scenarios import borsten_check, pauli_strings

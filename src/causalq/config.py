@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 
 
@@ -52,8 +51,3 @@ def with_overrides(overrides: dict | None, base: Tolerances = DEFAULT) -> Tolera
             raise KeyError(f"unknown tolerance key {key!r}")
         kw[_KEYS[key]] = float(value)
     return base.replace(**kw)
-
-
-def from_file(path) -> Tolerances:
-    with open(path, "r", encoding="utf-8") as fh:
-        return with_overrides(json.load(fh))

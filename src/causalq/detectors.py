@@ -34,7 +34,7 @@ from .causal import CellRegion, cells, classify_configuration, precedes, spaceli
 from .config import DEFAULT, Tolerances
 from .errors import CausalqError, NotCausallyOrderable, NotSorkinType
 from .field import FieldModel, FockBackend, SmearingFn, _kernel
-from .qops import (LocalOperator, ProductSpace, commutator, dag, embed,
+from .qops import (LocalOperator, ProductSpace, _embed_matrix, commutator, dag,
                    expih, herm_defect, opnorm, select_outcome, sigma_m,
                    sigma_p)
 
@@ -98,11 +98,6 @@ class DetectorSpec:
     def region(self, f: FieldModel) -> CellRegion:
         pts = [(n, s) for n in self.steps for s in self.sites]
         return cells(pts, period=f.sites)
-
-    def smearing_fn(self, f: FieldModel) -> SmearingFn:
-        wts = {(n, s): cv * sv for n, cv in self.switching.items()
-               for s, sv in self.smearing.items()}
-        return SmearingFn(wts, self.region(f))
 
     def mu(self, t: float) -> np.ndarray:
         return monopole(self.gap, t)
@@ -364,38 +359,29 @@ def _phi_slice(fb: FockBackend, profile: Mapping[int, float], n: int) -> np.ndar
 
 
 def _interaction_generators(dets: Sequence[DetectorSpec], fb: FockBackend,
-                            sp: ProductSpace, with_coupling: bool):
-    """Per-step list of (detector index, -i dt H) generator matrices."""
-    mode_labels = [l for l, _ in fb.space.factors]
+                            sp: ProductSpace):
+    """Per-step list of (detector index, -i dt H / lambda) generator matrices;
+    the couplings lambda are left out."""
+    mode_labels = fb.space.labels
     by_step: dict[int, list[tuple[int, np.ndarray]]] = {}
     for v, d in enumerate(dets):
-        lam = d.coupling if with_coupling else 1.0
         for n, chi in d.switching.items():
-            mu = embed(d.mu(n * fb.field.dt), d.label, sp).matrix
-            phi = embed(_phi_slice(fb, d.smearing, n), mode_labels, sp).matrix
-            g = -1j * fb.field.dt * lam * chi * (mu @ phi)
+            mu = _embed_matrix(d.mu(n * fb.field.dt), [d.label], sp)
+            phi = _embed_matrix(_phi_slice(fb, d.smearing, n), mode_labels, sp)
+            g = -1j * fb.field.dt * chi * (mu @ phi)
             by_step.setdefault(n, []).append((v, g))
     return by_step
 
 
-def scattering_operator(dets: Sequence[DetectorSpec], fb: FockBackend,
-                        order: str | int = "exact") -> LocalOperator:
-    """Step-ordered propagator product over the detectors' switching window.
-
-    order="exact" multiplies per-step matrix exponentials (unitary up to
-    truncation edge effects); an integer order evaluates the coupling power
-    series truncated at that total order.
-    """
+def scattering_operator(dets: Sequence[DetectorSpec], fb: FockBackend) -> LocalOperator:
+    """Step-ordered product of per-step matrix exponentials over the
+    detectors' switching window (unitary up to truncation edge effects)."""
     sp = joint_space(fb, dets)
-    if order != "exact":
-        series = scattering_series(dets, fb, int(order))
-        m = series.evaluate([d.coupling for d in dets])
-        return LocalOperator(sp, m)
-    by_step = _interaction_generators(dets, fb, sp, with_coupling=True)
+    by_step = _interaction_generators(dets, fb, sp)
     s = np.eye(sp.dim, dtype=complex)
     for n in sorted(by_step):
         # each generator is -i K with K = dt lambda chi mu phi Hermitian
-        k = 1j * sum(m for _, m in by_step[n])
+        k = 1j * sum(dets[v].coupling * m for v, m in by_step[n])
         s = expih(k, -1.0) @ s
     return LocalOperator(sp, s)
 
@@ -405,7 +391,7 @@ def scattering_series(dets: Sequence[DetectorSpec], fb: FockBackend,
     """Coupling power series of the propagator product; one variable per
     detector, couplings factored out (evaluate with the lambda values)."""
     sp = joint_space(fb, dets)
-    by_step = _interaction_generators(dets, fb, sp, with_coupling=False)
+    by_step = _interaction_generators(dets, fb, sp)
     nv = len(dets)
     out = MatrixPoly.constant(np.eye(sp.dim), nv, order)
     for n in sorted(by_step):
@@ -432,18 +418,13 @@ def causal_factorization_check(a: DetectorSpec, b: DetectorSpec,
         raise NotCausallyOrderable(
             f"region of {b.label!r} meets the past of {a.label!r}")
     sp = joint_space(fb, [a, b])
+    modes = list(fb.space.labels)
     s_ab = scattering_operator([a, b], fb).matrix
-    sa = _lift(scattering_operator([a], fb), [a], sp, fb).matrix
-    sb = _lift(scattering_operator([b], fb), [b], sp, fb).matrix
+    sa = _embed_matrix(scattering_operator([a], fb).matrix, [a.label] + modes, sp)
+    sb = _embed_matrix(scattering_operator([b], fb).matrix, [b.label] + modes, sp)
     res = opnorm(s_ab - sb @ sa)
     comm = opnorm(sa @ sb - sb @ sa) if spacelike(ra, rb) else None
     return FactorizationResult(res, comm)
-
-
-def _lift(op: LocalOperator, dets: Sequence[DetectorSpec], sp: ProductSpace,
-          fb: FockBackend) -> LocalOperator:
-    labels = [d.label for d in dets] + [l for l, _ in fb.space.factors]
-    return embed(op.matrix, labels, sp)
 
 
 def tripartite_order_count(kick: SmearingFn, a: DetectorSpec | None,
@@ -480,9 +461,8 @@ def tripartite_order_count(kick: SmearingFn, a: DetectorSpec | None,
     dets = [b] if a is None else [a, b]
     offset = 2 if a is None else 1
     sp = joint_space(fb, dets)
-    mode_labels = [l for l, _ in fb.space.factors]
-    gen_k = embed(fb.phi_smeared(kick).matrix, mode_labels, sp).matrix
-    by_step = _interaction_generators(dets, fb, sp, with_coupling=False)
+    gen_k = _embed_matrix(fb.phi_smeared(kick).matrix, fb.space.labels, sp)
+    by_step = _interaction_generators(dets, fb, sp)
     nv = 3
     shifted = {n: [(v + offset, g) for v, g in gens] for n, gens in by_step.items()}
     out = MatrixPoly.exp_linear([(0, 1j * gen_k)], nv, max_order)
@@ -493,7 +473,7 @@ def tripartite_order_count(kick: SmearingFn, a: DetectorSpec | None,
     states = [rho_b] if a is None else [rho_a, rho_b]
     rho0 = MatrixPoly.constant(joint_state(fb, states), nv, max_order)
     rho = out @ rho0 @ out.dagger()
-    db = embed(d_b, b.label, sp).matrix
+    db = _embed_matrix(np.asarray(d_b, dtype=complex), [b.label], sp)
     report: dict[int, float] = {k: 0.0 for k in range(1, max_order + 1)}
     for e, m in rho.terms.items():
         if e[0] == 0:

@@ -26,15 +26,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .causal import CellRegion, cells
-from .config import DEFAULT, Tolerances
 from .errors import OutOfWindow, TruncationTooLarge
-from .qops import LocalOperator, ProductSpace, dag, embed
+from .qops import LocalOperator, ProductSpace, _embed_matrix, dag, embed
 
 __all__ = [
     "FieldModel", "SmearingFn", "FockBackend",
     "wightman", "commutator", "retarded_green",
     "smeared_commutator", "smeared_wightman", "cone_tail",
-    "box_smearing", "gaussian_smearing", "point_smearing", "fock_backend",
+    "box_smearing", "gaussian_smearing", "fock_backend",
 ]
 
 Point = tuple[int, int]
@@ -131,10 +130,6 @@ class FieldModel:
                 f"point {x} outside window [0,{self.steps}] x [0,{self.sites})")
         return n, s
 
-    def window_region(self) -> CellRegion:
-        return cells(((n, s) for n in range(self.steps + 1)
-                      for s in range(self.sites)), period=self.sites)
-
 
 def wightman(f: FieldModel, x: Point, xp: Point) -> complex:
     """Vacuum W(x, x'); Hermitian under point exchange."""
@@ -216,13 +211,6 @@ def box_smearing(f: FieldModel, step_lo: int, step_hi: int,
     for p in pts:
         f._check_point(p)
     return SmearingFn({p: amplitude for p in pts}, cells(pts, period=f.sites))
-
-
-def point_smearing(f: FieldModel, step: int, site: int,
-                   amplitude: float = 1.0) -> SmearingFn:
-    f._check_point((step, site))
-    return SmearingFn({(step, site): amplitude},
-                      cells([(step, site)], period=f.sites))
 
 
 def gaussian_smearing(f: FieldModel, center: Point, sigma_t: float,
@@ -371,8 +359,9 @@ class FockBackend:
 
     def _from_coeffs(self, coeffs: np.ndarray) -> LocalOperator:
         m = np.zeros((self.space.dim, self.space.dim), dtype=complex)
+        low = _lower(self.cutoff + 1)
         for c, j in zip(coeffs, self.modes):
-            ann = self.annihilation(j).matrix
+            ann = _embed_matrix(low, [self.mode_label(j)], self.space)
             m += c * ann + np.conj(c) * dag(ann)
         return LocalOperator(self.space, m)
 

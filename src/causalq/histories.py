@@ -62,11 +62,22 @@ def _state_matrix(rho0, sp: ProductSpace) -> np.ndarray:
     return DensityState(sp, np.asarray(rho0, dtype=complex)).matrix
 
 
-def _heisenberg(p: np.ndarray, t: float, h: np.ndarray | None) -> np.ndarray:
+def _heisenberg(ps: list[np.ndarray], t: float,
+                h: np.ndarray | None) -> list[np.ndarray]:
+    """U P U^dag for every projector of one step, U = exp(i t H) formed once."""
     if h is None or t == 0.0:
-        return p
+        return ps
     u = expih(h, t)
-    return u @ p @ dag(u)
+    return [u @ p @ dag(u) for p in ps]
+
+
+def _chains(levels: Sequence[Sequence[np.ndarray]], dim: int) -> list[np.ndarray]:
+    """P_n ... P_1 for every outcome combination, odometer order (last step
+    fastest); each prefix product P_k ... P_1 is formed once."""
+    chains = [np.eye(dim, dtype=complex)]
+    for level in levels:
+        chains = [p @ c for c in chains for p in level]
+    return chains
 
 
 class HistoryStep(NamedTuple):
@@ -135,12 +146,10 @@ def class_operator(h: History, convention: str = "earliest-right") -> LocalOpera
     """
     if convention not in ("earliest-right", "earliest-left"):
         raise ValueError(f"unknown ordering convention {convention!r}")
-    sp = h.space
-    c = np.eye(sp.dim, dtype=complex)
-    for proj, _, t in h.steps:
-        pt = _heisenberg(proj.matrix, t, h.hamiltonian)
-        c = pt @ c if convention == "earliest-right" else c @ pt
-    return LocalOperator(sp, c)
+    levels = [_heisenberg([proj.matrix], t, h.hamiltonian) for proj, _, t in h.steps]
+    if convention == "earliest-left":
+        levels.reverse()
+    return LocalOperator(h.space, _chains(levels, h.space.dim)[0])
 
 
 def probability(h: History, rho0) -> float:
@@ -152,7 +161,12 @@ def probability(h: History, rho0) -> float:
 
 @dataclass(frozen=True)
 class HistoryFamily:
-    """One projective resolution per step; histories are index combinations."""
+    """One projective resolution per step; histories are index combinations.
+
+    The data every history shares (times, region-label order, Hamiltonian) is
+    validated once, at construction, by building the first history; the
+    projectors were checked by their resolutions.
+    """
     resolutions: tuple[ProjectiveResolution, ...]
     times: tuple[float, ...] = ()
     labels: tuple[object, ...] = ()
@@ -174,6 +188,8 @@ class HistoryFamily:
         object.__setattr__(self, "resolutions", res)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "labels", labels)
+        first = self.history((0,) * len(res))
+        object.__setattr__(self, "hamiltonian", first.hamiltonian)
 
     @property
     def space(self) -> ProductSpace:
@@ -232,7 +248,9 @@ def decoherence(fam: HistoryFamily, rho0, tol: Tolerances = DEFAULT) -> Decohere
     """Full decoherence matrix of the family in the given initial state."""
     rho = _state_matrix(rho0, fam.space)
     alphas = tuple(fam.alphas())
-    cs = [class_operator(fam.history(a)).matrix for a in alphas]
+    levels = [_heisenberg([p.matrix for p in r.projectors], t, fam.hamiltonian)
+              for r, t in zip(fam.resolutions, fam.times)]
+    cs = _chains(levels, fam.space.dim)
     n = len(cs)
     d = np.empty((n, n), dtype=complex)
     for i, ci in enumerate(cs):
@@ -341,14 +359,8 @@ class FuksaTripartite(NamedTuple):
     passed: bool
 
 
-def _joint_probs(later: Sequence[Sequence[np.ndarray]], rho: np.ndarray) -> np.ndarray:
-    out = []
-    for combo in index_product(*later):
-        c = np.eye(rho.shape[0], dtype=complex)
-        for p in combo:
-            c = p @ c
-        out.append(np.real(np.trace(c @ rho @ dag(c))))
-    return np.array(out)
+def _joint_probs(chains: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
+    return np.array([np.real(np.trace(c @ rho @ dag(c))) for c in chains])
 
 
 def fuksa_tripartite(res1: ProjectiveResolution, res2: ProjectiveResolution,
@@ -387,12 +399,10 @@ def fuksa_tripartite(res1: ProjectiveResolution, res2: ProjectiveResolution,
     if extra is not None:
         later.append([p.matrix for p in extra.projectors])
     later.append(p3)
+    chains = _chains(later, sp.dim)
 
     worst = 0.0
-    for combo in index_product(*later):
-        c_later = np.eye(sp.dim, dtype=complex)
-        for p in combo:
-            c_later = p @ c_later
+    for c_later in chains:
         e = dag(c_later) @ c_later  # step-1 sandwich of the later chain
         for i, pi in enumerate(p1):
             for j, pj in enumerate(p1):
@@ -410,11 +420,11 @@ def fuksa_tripartite(res1: ProjectiveResolution, res2: ProjectiveResolution,
     meas_shift = 0.0
     kick_shift = 0.0
     for rho in states:
-        base = _joint_probs(later, rho)
+        base = _joint_probs(chains, rho)
         measured = luders_sum(p1, rho)
-        meas_shift = max(meas_shift, np.abs(_joint_probs(later, measured) - base).max())
+        meas_shift = max(meas_shift, np.abs(_joint_probs(chains, measured) - base).max())
         for u in kicks:
             kicked = u @ rho @ dag(u)
-            kick_shift = max(kick_shift, np.abs(_joint_probs(later, kicked) - base).max())
+            kick_shift = max(kick_shift, np.abs(_joint_probs(chains, kicked) - base).max())
     return FuksaTripartite(float(worst), float(meas_shift), float(kick_shift),
                            worst <= tol.operator)

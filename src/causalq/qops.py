@@ -29,7 +29,7 @@ __all__ = [
     "ProjectiveResolution", "space", "qubit_space", "embed",
     "spectral_resolution", "born_probability", "luders_nonselective",
     "luders_selective", "partial_trace", "expectation",
-    "basis_ket", "pure_state", "dag", "commutator", "opnorm", "herm_defect",
+    "pure_state", "dag", "commutator", "opnorm", "herm_defect",
     "expih", "luders_sum", "select_outcome", "check_unitary", "check_effect",
     "projector_defect",
     "sigma_x", "sigma_y", "sigma_z", "sigma_p", "sigma_m", "eye2",
@@ -114,12 +114,6 @@ def check_effect(b, dim: int, tol: Tolerances) -> np.ndarray:
     return b
 
 
-def basis_ket(dim: int, i: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[i] = 1.0
-    return v
-
-
 @dataclass(frozen=True)
 class ProductSpace:
     """Ordered labelled tensor factors."""
@@ -200,9 +194,6 @@ class LocalOperator:
 
     def dagger(self) -> "LocalOperator":
         return LocalOperator(self.space, dag(self.matrix), self.support, self.region)
-
-    def is_hermitian(self, atol: float | None = None) -> bool:
-        return herm_defect(self.matrix) <= (atol or self.tol.hermitian) * _scale(self.matrix)
 
     def _merge(self, other: "LocalOperator", mat: np.ndarray) -> "LocalOperator":
         if other.space != self.space:

@@ -6,7 +6,7 @@ import numpy as np
 from .qops import dag
 
 __all__ = [
-    "haar_unitary", "random_state", "random_hermitian", "random_density",
+    "haar_unitary", "random_hermitian", "random_density",
     "random_projector", "random_effect", "random_commuting_pair",
 ]
 
@@ -18,11 +18,6 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     # fix the phase ambiguity so the distribution is exactly Haar
     d = np.diagonal(r)
     return q * (d / np.abs(d))
-
-
-def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

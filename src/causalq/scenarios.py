@@ -90,6 +90,10 @@ class Scenario:
     factor_regions: Mapping[str, Region] = dfield(default_factory=dict)
     sweep: tuple[str, tuple[float, ...]] | None = None
     tol: Tolerances = dfield(default=DEFAULT, repr=False)
+    # linear extensions that `run` evaluates, and each operation's matrices
+    # (None for parametric kicks, whose unitary depends on the grid point)
+    extensions: tuple[tuple[int, ...], ...] = dfield(init=False, repr=False)
+    prepared: tuple = dfield(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "operations", tuple(self.operations))
@@ -108,8 +112,11 @@ class Scenario:
                 if anchor is not None and spacelike(anchor, op.region):
                     raise ValueError(
                         f"operation on factor {label!r} sits spacelike to its anchor region")
-        if self.operations:
-            build_order([op.region for op in self.operations])  # CycleError check
+        exts: tuple[tuple[int, ...], ...] = ()
+        if self.operations:  # build_order raises CycleError
+            gen = build_order([op.region for op in self.operations]).linear_extensions()
+            exts = (next(gen),) if len(self.operations) > 6 else tuple(gen)
+        object.__setattr__(self, "extensions", exts)
         if self.sweep is not None:
             param, grid = self.sweep
             grid = tuple(float(v) for v in grid)
@@ -119,6 +126,8 @@ class Scenario:
             if param not in names:
                 raise UnknownParameter(f"sweep parameter {param!r} not used by any kick")
             object.__setattr__(self, "sweep", (param, grid))
+        object.__setattr__(self, "prepared", tuple(
+            None if op.parametric else _prepare(op, self.tol) for op in self.operations))
 
 
 @dataclass(frozen=True)
@@ -131,10 +140,8 @@ class SignallingReport:
     order_check: tuple | None = None
 
 
-def _prepare(op: LocalOperation, params: Mapping[str, float], tol: Tolerances):
-    """The matrices `op` applies: a unitary, eigenprojectors, or its operator."""
-    if op.kind == "kick" and op.parametric:
-        return expih(op.operator.matrix, float(params.get(op.name, 0.0)))
+def _prepare(op: LocalOperation, tol: Tolerances):
+    """The matrices a non-parametric `op` applies: eigenprojectors or its operator."""
     if op.kind == "measure":
         return [p.matrix for p in spectral_resolution(op.operator, op.bins, tol)]
     if op.kind in ("kick", "select", "observe"):
@@ -162,8 +169,9 @@ def run(s: Scenario, params: Mapping[str, float] | None = None) -> dict[str, flo
 
     For up to six operations every linear extension of the causal order is
     evaluated and the recorded values compared; disagreement beyond tolerance
-    raises OrderSensitivity.  Each operation's matrices (kick unitary,
-    eigenprojectors) are prepared once per call and shared by all extensions.
+    raises OrderSensitivity.  Operations are prepared once per scenario (the
+    extensions, eigenprojectors and fixed operators, see `Scenario`); a call
+    forms only the parametric kick unitaries, shared by all extensions.
     """
     params = dict(params or {})
     declared = {op.name for op in s.operations if op.parametric}
@@ -172,12 +180,10 @@ def run(s: Scenario, params: Mapping[str, float] | None = None) -> dict[str, flo
         raise UnknownParameter(f"parameters {sorted(unknown)} not used by any kick")
     if not s.operations:
         return {}
-    order = build_order([op.region for op in s.operations])
-    gen = order.linear_extensions()
-    exts = [next(gen)] if len(s.operations) > 6 else list(gen)
-    mats = [_prepare(op, params, s.tol) for op in s.operations]
+    mats = [expih(op.operator.matrix, float(params.get(op.name, 0.0)))
+            if op.parametric else m for op, m in zip(s.operations, s.prepared)]
     all_results = []
-    for ext in exts:
+    for ext in s.extensions:
         rho = s.initial.matrix.copy()
         results: dict[str, float] = {}
         for idx in ext:

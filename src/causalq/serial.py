@@ -19,7 +19,7 @@ from typing import Mapping
 import jsonschema
 import numpy as np
 
-from .causal import CellRegion, Rect, cells, fig2_preset, rect
+from .causal import cells, fig2_preset, rect
 from .config import DEFAULT, Tolerances
 from .detectors import DetectorSpec
 from .errors import ParseError, ValidationError
@@ -382,7 +382,11 @@ def build_family(doc: Mapping,
             steps.append(spectral_resolution(build_operator(entry["observable"], sp),
                                              tol=tol))
     times = tuple(doc["family"].get("times", ()))
-    return HistoryFamily(tuple(steps), times, tol=tol), rho
+    try:
+        fam = HistoryFamily(tuple(steps), times, tol=tol)
+    except ValueError as e:  # times of the wrong length or out of order
+        raise ValidationError(f"family: {e}") from e
+    return fam, rho
 
 
 def _detector_from(spec: Mapping) -> DetectorSpec:

@@ -255,6 +255,19 @@ def test_check_suite_payload_mismatch_exit_2(tmp_path, capsys):
     assert "family" in err
 
 
+@pytest.mark.parametrize("times", [[1.0, 0.0], [0.0, 1.0, 2.0]],
+                         ids=["unsorted", "wrong_length"])
+@pytest.mark.parametrize("command", [["run"], ["check", "--suite", "fuksa"]],
+                         ids=["run", "check_fuksa"])
+def test_bad_family_times_exit_2(tmp_path, capsys, times, command):
+    doc = load_document(PRESETS / "fuksa_family.json")
+    doc["family"]["times"] = times
+    rc, _, err = cli(capsys, command[0], write_doc(tmp_path, doc), *command[1:],
+                     "--out", tmp_path)
+    assert rc == 2
+    assert err.startswith("input error: family:")
+
+
 # sweep command
 
 def test_sweep_grid_override(tmp_path, capsys):

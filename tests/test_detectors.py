@@ -1,4 +1,6 @@
 """Detector layer: perturbative split, scattering series, update rules."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -17,7 +19,9 @@ from causalq.detectors import (
 from causalq.errors import (CausalqError, NotCausallyOrderable, NotSorkinType,
                             ZeroProbability)
 from causalq.field import FieldModel, SmearingFn, fock_backend
+from causalq import qops
 from causalq.qops import dag, opnorm, sigma_x, sigma_y
+from causalq.serial import build_tripartite, load_document
 
 F12 = FieldModel(0.0, 12, steps=8)
 FB12 = fock_backend(F12, [3, -3], 3)
@@ -408,3 +412,24 @@ def test_joint_space_and_state_layout():
     rho = joint_state(FB12, [PLUS])
     assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
     assert rho.shape == (sp.dim, sp.dim)
+
+
+def test_detector_paths_skip_support_recheck(monkeypatch):
+    # internal embeds are identity outside their targets by construction;
+    # only the public `embed` re-checks a declared support
+    doc = load_document(Path(__file__).resolve().parents[1] / "presets"
+                        / "tripartite_orders.json")
+    kick, bridge, receiver, fb, max_order = build_tripartite(doc)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("support re-checked")
+    monkeypatch.setattr(qops, "_support_defect", refuse)
+    rep = tripartite_order_count(kick, bridge, receiver, fb, sigma_x, GROUND,
+                                 GROUND, max_order)
+    assert abs(rep[4] - TRIPARTITE_ORDER4) < 1e-12
+    s = scattering_operator([bridge, receiver], fb).matrix
+    assert opnorm(s @ dag(s) - np.eye(len(s))) < 1e-8
+    ser = scattering_series([bridge, receiver], fb, 2)
+    assert ser.evaluate([bridge.coupling, receiver.coupling]).shape == s.shape
+    res = causal_factorization_check(bridge, receiver, fb)
+    assert res.residual < 1e-10

@@ -1,9 +1,12 @@
 """Histories calculus: class operators, decoherence, additivity, no-signalling."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import causalq.histories as hist
 from causalq.causal import rect
 from causalq.errors import (CommutationPrecondition, InvalidProjector,
                             NotExclusive, NotHermitian, SpaceMismatch)
@@ -162,6 +165,63 @@ def test_probabilities_diagonal_and_sum():
         assert p > -1e-12
 
 
+def random_resolution(sp, k, rng):
+    """k projectors onto groups of columns of a Haar unitary."""
+    u = haar_unitary(sp.dim, rng)
+    cols = np.array_split(np.arange(sp.dim), k)
+    return res(sp, [u[:, g] @ u[:, g].conj().T for g in cols])
+
+
+def decoherence_reference(fam, rho, h):
+    """tr(C_i rho C_j^dag) with every chain multiplied out from the identity."""
+    cs = []
+    for alpha in product(*(range(len(r)) for r in fam.resolutions)):
+        c = np.eye(fam.space.dim, dtype=complex)
+        for r, a, t in zip(fam.resolutions, alpha, fam.times):
+            p = r.projectors[a].matrix
+            if h is not None:
+                u = expm(1j * t * h)
+                p = u @ p @ u.conj().T
+            c = p @ c
+        cs.append(c)
+    return np.array([[np.trace(ci @ rho @ cj.conj().T) for cj in cs] for ci in cs])
+
+
+@pytest.mark.parametrize("with_h", [False, True])
+def test_decoherence_matches_direct_products(with_h):
+    rng = np.random.default_rng(17 + with_h)
+    sp = qubit_space("A", "B")
+    for n_steps in (2, 3, 4):
+        for _ in range(2):
+            steps = tuple(random_resolution(sp, int(rng.integers(2, 5)), rng)
+                          for _ in range(n_steps))
+            times = tuple(np.sort(rng.uniform(0.0, 2.0, n_steps)))
+            h = random_hermitian(4, rng) if with_h else None
+            fam = HistoryFamily(steps, times, hamiltonian=h)
+            rho = random_density(4, rng)
+            want = decoherence_reference(fam, rho, h)
+            got = decoherence(fam, rho).matrix
+            assert np.abs(got - want).max() <= 1e-12
+
+
+def test_decoherence_exponentiates_once_per_step(monkeypatch):
+    calls = []
+    expih = hist.expih
+
+    def counted(h, t):
+        calls.append(t)
+        return expih(h, t)
+    monkeypatch.setattr(hist, "expih", counted)
+    rng = np.random.default_rng(29)
+    sp = qubit_space("A", "B")
+    steps = tuple(random_resolution(sp, 2, rng) for _ in range(4))
+    fam = HistoryFamily(steps, (0.0, 0.3, 0.7, 1.1),
+                        hamiltonian=random_hermitian(4, rng))
+    dm = decoherence(fam, random_density(4, rng))
+    assert len(dm.alphas) == 16
+    assert calls == [0.3, 0.7, 1.1]
+
+
 def test_strong_consistency_implies_weak():
     rng = np.random.default_rng(6)
     for _ in range(10):
@@ -193,6 +253,8 @@ def test_family_validation():
         HistoryFamily((res(Q1, PZ),), times=(0.0, 1.0))
     with pytest.raises(SpaceMismatch):
         HistoryFamily((res(Q1, PZ), kron_res(Q2, PX, "A")))
+    with pytest.raises(ValueError):  # checked once, at construction
+        HistoryFamily((res(Q1, PZ), res(Q1, PX)), times=(1.0, 0.0))
     fam = HistoryFamily((res(Q1, PZ),))
     with pytest.raises(ValueError):
         fam.history((2,))
@@ -352,6 +414,48 @@ def test_fuksa_tripartite_squeezed_step_extends_conditions():
     assert not squeezed.passed
     assert squeezed.worst > 1e-3
     assert squeezed.measurement_shift > 1e-3
+
+
+def test_fuksa_tripartite_matches_chain_loops():
+    # reference: every later chain multiplied out from the identity, once
+    # for the condition operators and again for each state's statistics
+    rng = np.random.default_rng(31)
+    r1, r3 = kron_res(Q2, PZ, "A"), kron_res(Q2, PZ, "B")
+    r2 = random_resolution(Q2, 2, rng)
+    extra = random_resolution(Q2, 3, rng)
+    kicks = [haar_unitary(4, rng) for _ in range(2)]
+    rho0 = random_density(4, rng)
+    rep = fuksa_tripartite(r1, r2, r3, rho0, kicks=kicks, extra=extra,
+                           rng=np.random.default_rng(5), n_states=3)
+
+    p1 = [p.matrix for p in r1.projectors]
+    later = [[p.matrix for p in r.projectors] for r in (r2, extra, r3)]
+
+    def chains():
+        for combo in product(*later):
+            c = np.eye(4, dtype=complex)
+            for p in combo:
+                c = p @ c
+            yield c
+
+    def joint(rho):
+        return np.array([np.real(np.trace(c @ rho @ c.conj().T)) for c in chains()])
+
+    worst = max(opnorm(pj @ c.conj().T @ c @ pi) for c in chains()
+                for i, pi in enumerate(p1) for j, pj in enumerate(p1) if i != j)
+    state_rng = np.random.default_rng(5)
+    states = [rho0] + [random_density(4, state_rng) for _ in range(3)]
+    meas = kick = 0.0
+    for rho in states:
+        base = joint(rho)
+        measured = sum(p @ rho @ p for p in p1)
+        meas = max(meas, np.abs(joint(measured) - base).max())
+        for u in kicks:
+            kick = max(kick, np.abs(joint(u @ rho @ u.conj().T) - base).max())
+    assert worst > 1e-3 and meas > 1e-3 and kick > 1e-3
+    assert abs(rep.worst - worst) <= 1e-12
+    assert abs(rep.measurement_shift - meas) <= 1e-12
+    assert abs(rep.kick_shift - kick) <= 1e-12
 
 
 def test_fuksa_tripartite_commutation_precondition():

@@ -147,6 +147,12 @@ def test_run_resolves_each_measurement_once(monkeypatch):
     assert len(list(order.linear_extensions())) == 6
     sc.run(s, {"g": 0.3})
     assert [id(a) for a in calls] == [id(ops[1].operator), id(ops[2].operator)]
+    # the order, extensions and eigenprojectors belong to the scenario
+    orders = []
+    monkeypatch.setattr(sc, "build_order", lambda *a: orders.append(a))
+    sc.run(s, {"g": 0.5})
+    assert len(calls) == 2
+    assert orders == []
 
 
 def test_spacelike_noncommuting_kicks_raise_order_sensitivity():
