@@ -62,7 +62,6 @@ class RunReport:
     results: dict[str, float] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
     rows: list[dict] | None = None
-    columns: list[str] | None = None
 
     @property
     def passed(self) -> bool:
@@ -108,7 +107,7 @@ def _write_report(rep: RunReport, out_dir: Path, stem: str) -> Path:
 def _write_rows(rep: RunReport, out_dir: Path, stem: str, fmt: str) -> Path | None:
     if not rep.rows:
         return None
-    cols = rep.columns or list(rep.rows[0])
+    cols = list(rep.rows[0])
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def cell(v):
@@ -128,58 +127,53 @@ def _write_rows(rep: RunReport, out_dir: Path, stem: str, fmt: str) -> Path | No
 
 
 def _payload(doc: dict) -> str:
+    """Payload section; detector documents add their entry ("detectors.pair")."""
     for key in ("operations", "family", "fv_preset", "detectors"):
         if key in doc:
-            return key
+            return f"detectors.{next(iter(doc[key]))}" if key == "detectors" else key
     raise ValidationError("document has no payload section")
 
 
-# -- execution branches -------------------------------------------------------
-
-def _sweep_scenario(s, param: str, grid, threads: int) -> tuple[list[dict], list[str]]:
-    def point(v: float) -> dict:
-        out = run_scenario(s, {param: v})
-        return {param: v, **out}
-
+def _map_grid(point, grid, threads: int) -> list[dict]:
+    """One row per grid value, in grid order."""
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        rows = list(ex.map(point, grid))
-    cols = [param] + [k for k in rows[0] if k != param]
-    return rows, cols
+        return list(ex.map(point, grid))
 
 
-def _exec_operations(doc: dict, tol: Tolerances, rep: RunReport, threads: int) -> None:
+# -- handlers, each called as handler(doc, tol, rep, args) --------------------
+
+def _exec_operations(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
     s = build_scenario(doc, tol)
-    if s.sweep is not None:
-        param, grid = s.sweep
-        rep.rows, rep.columns = _sweep_scenario(s, param, grid, threads)
-        for col in rep.columns[1:]:
-            vals = [r[col] for r in rep.rows]
-            rep.results[f"delta_max.{col}"] = max(abs(v - vals[0]) for v in vals)
-    else:
+    if s.sweep is None:
         rep.results.update(run_scenario(s, {}))
+        return
+    param, grid = s.sweep
+    rep.rows = _map_grid(lambda v: {param: v, **run_scenario(s, {param: v})},
+                         grid, args.threads)
+    for col in list(rep.rows[0])[1:]:
+        vals = [r[col] for r in rep.rows]
+        rep.results[f"delta_max.{col}"] = max(abs(v - vals[0]) for v in vals)
 
 
-def _exec_family(doc: dict, tol: Tolerances, rep: RunReport) -> None:
+def _exec_family(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
     fam, rho = build_family(doc, tol)
     dm = decoherence(fam, rho, tol)
     off = dm.matrix - np.diag(np.diag(dm.matrix))
     rep.residuals["histories.consistency.weak"] = float(np.abs(off.real).max())
     rep.residuals["histories.consistency.strong"] = float(np.abs(off).max())
     rep.results["probability_sum"] = float(dm.probabilities.sum())
-    rows = []
+    rep.rows = []
     for i, a in enumerate(dm.alphas):
         for j, b in enumerate(dm.alphas):
-            rows.append({"alpha": ".".join(map(str, a)),
-                         "beta": ".".join(map(str, b)),
-                         "re": float(dm.matrix[i, j].real),
-                         "im": float(dm.matrix[i, j].imag)})
-    rep.rows = rows
-    rep.columns = ["alpha", "beta", "re", "im"]
+            rep.rows.append({"alpha": ".".join(map(str, a)),
+                             "beta": ".".join(map(str, b)),
+                             "re": float(dm.matrix[i, j].real),
+                             "im": float(dm.matrix[i, j].imag)})
 
 
-def _exec_fv(doc: dict, tol: Tolerances, rep: RunReport, seed: int) -> None:
+def _exec_fv(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
     spec = doc["fv_preset"]
-    rng = np.random.default_rng(spec.get("seed", seed))
+    rng = np.random.default_rng(spec.get("seed", args.seed))
     if spec["name"] == "cnot":
         c, probe = cnot_preset(tol)
         sm = scattering_map(c, probe)
@@ -208,71 +202,45 @@ def _exec_fv(doc: dict, tol: Tolerances, rep: RunReport, seed: int) -> None:
                                   cor.residual))
 
 
-def _exec_detectors(doc: dict, tol: Tolerances, rep: RunReport) -> None:
-    if "pair" in doc["detectors"]:
-        f, a, b = build_detector_pair(doc)
-        # coherent sender state; a diagonal rho_A has zero monopole mean and
-        # would null the cross term even for causally connected pairs
-        plus = np.full((2, 2), 0.5, dtype=complex)
-        ps = signal_noise_split(a, b, f, plus, _GROUND, tol=tol)
-        resid = trace_norm(ps.signal)
-        geo = "spacelike" if spacelike(a.region(f), b.region(f)) else "causally connected"
-        rep.residuals["detector.signal_trace_norm"] = resid
-        rep.checks.append(CheckResult("detector.no_signalling",
-                                      resid <= tol.operator, resid,
-                                      f"coupling regions {geo}"))
-        return
-    kick_fn, bridge, receiver, fb, max_order = build_tripartite(doc)
+def _exec_pair(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
+    f, a, b = build_detector_pair(doc)
+    # coherent sender state; a diagonal rho_A has zero monopole mean and
+    # would null the cross term even for causally connected pairs
+    plus = np.full((2, 2), 0.5, dtype=complex)
+    ps = signal_noise_split(a, b, f, plus, _GROUND, tol=tol)
+    resid = trace_norm(ps.signal)
+    geo = "spacelike" if spacelike(a.region(f), b.region(f)) else "causally connected"
+    rep.residuals["detector.signal_trace_norm"] = resid
+    rep.checks.append(CheckResult("detector.no_signalling",
+                                  resid <= tol.operator, resid,
+                                  f"coupling regions {geo}"))
+
+
+def _orders(kick_fn, bridge, receiver, fb, max_order) -> dict[str, float]:
     orders = tripartite_order_count(kick_fn, bridge, receiver, fb, sigma_x,
                                     None if bridge is None else _GROUND,
                                     _GROUND, max_order)
-    for k, v in sorted(orders.items()):
-        rep.results[f"order{k}"] = float(v)
+    return {f"order{k}": float(v) for k, v in sorted(orders.items())}
 
 
-# -- commands -----------------------------------------------------------------
-
-def cmd_run(args) -> RunReport:
-    doc = load_document(args.file)
-    tol = _tolerances(doc)
-    rep = RunReport("run", str(args.file), document_digest(doc), args.seed)
-    t0 = time.perf_counter()
-    kind = _payload(doc)
-    if kind == "operations":
-        _exec_operations(doc, tol, rep, args.threads)
-    elif kind == "family":
-        _exec_family(doc, tol, rep)
-    elif kind == "fv_preset":
-        _exec_fv(doc, tol, rep, args.seed)
-    else:
-        _exec_detectors(doc, tol, rep)
-    rep.timings["execute_s"] = time.perf_counter() - t0
-    return rep
+def _exec_tripartite(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
+    rep.results.update(_orders(*build_tripartite(doc)))
 
 
-def cmd_check(args) -> RunReport:
-    doc = load_document(args.file)
-    tol = _tolerances(doc)
-    rep = RunReport(f"check:{args.suite}", str(args.file), document_digest(doc),
-                    args.seed)
-    t0 = time.perf_counter()
-    if args.suite == "borsten":
-        _check_borsten(doc, tol, rep)
-    elif args.suite == "fuksa":
-        _check_fuksa(doc, tol, rep)
-    elif args.suite == "fv":
-        _exec_fv(doc, tol, rep, args.seed)
-    else:
-        _exec_detectors(doc, tol, rep)
-        if not rep.checks:
-            raise ValidationError("detector suite needs a detectors pair entry")
-    rep.timings["execute_s"] = time.perf_counter() - t0
-    return rep
+def _sweep_tripartite(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
+    param = doc["sweep"]["param"]
+    if param != "coupling":
+        raise UnknownParameter(f"tripartite sweeps support 'coupling', not {param!r}")
+    kick_fn, bridge, receiver, fb, max_order = build_tripartite(doc)
+    if bridge is None:
+        raise UnknownParameter("no bridge detector whose coupling could be swept")
+    rep.rows = _map_grid(
+        lambda v: {"coupling": v, **_orders(kick_fn, replace(bridge, coupling=v),
+                                            receiver, fb, max_order)},
+        grid_values(doc["sweep"]), args.threads)
 
 
-def _check_borsten(doc: dict, tol: Tolerances, rep: RunReport) -> None:
-    if "operations" not in doc:
-        raise ValidationError("borsten suite needs an operations section")
+def _check_borsten(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
     s = build_scenario(doc, tol)
     meas = [op for op in s.operations if op.kind == "measure"]
     kicks = [op for op in s.operations if op.kind == "kick"]
@@ -304,9 +272,7 @@ def _pauli_name(index: int, labels: list[str]) -> str:
     return "".join(reversed(digits)) + "@" + ",".join(labels)
 
 
-def _check_fuksa(doc: dict, tol: Tolerances, rep: RunReport) -> None:
-    if "family" not in doc:
-        raise ValidationError("fuksa suite needs a family section")
+def _check_fuksa(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
     fam, rho = build_family(doc, tol)
     res = fam.resolutions
     if len(res) == 2:
@@ -328,58 +294,68 @@ def _check_fuksa(doc: dict, tol: Tolerances, rep: RunReport) -> None:
         raise ValidationError("fuksa suite needs a 2, 3, or 4 step family")
 
 
-def cmd_sweep(args) -> RunReport:
+# -- the one pipeline: load, override, route, execute -------------------------
+
+# report command -> payload -> handler; a payload missing from a route is
+# refused before anything is built
+_ROUTES = {
+    "run": {"operations": _exec_operations, "family": _exec_family,
+            "fv_preset": _exec_fv, "detectors.pair": _exec_pair,
+            "detectors.tripartite": _exec_tripartite},
+    "check:borsten": {"operations": _check_borsten},
+    "check:fuksa": {"family": _check_fuksa},
+    "check:fv": {"fv_preset": _exec_fv},
+    "check:detector": {"detectors.pair": _exec_pair},
+    "sweep": {"operations": _exec_operations,
+              "detectors.tripartite": _sweep_tripartite},
+}
+_NEEDS = {"operations": "an operations section", "family": "a family section",
+          "fv_preset": "an fv_preset section", "detectors.pair": "a detectors pair entry"}
+
+
+def _execute(args) -> RunReport:
     doc = load_document(args.file)
-    if args.param is not None:
-        doc = dict(doc)
-        doc["sweep"] = {"param": args.param, "grid": _parse_grid(args.grid)}
-    if "sweep" not in doc:
+    if args.command == "sweep" and args.param is not None:
+        doc = {**doc, "sweep": {"param": args.param, "grid": _parse_grid(args.grid)}}
+    if args.command == "sweep" and "sweep" not in doc:
         raise ValidationError("no sweep section and no --param given")
     tol = _tolerances(doc)
-    rep = RunReport("sweep", str(args.file), document_digest(doc), args.seed)
+    command = f"check:{args.suite}" if args.command == "check" else args.command
+    rep = RunReport(command, str(args.file), document_digest(doc), args.seed)
     t0 = time.perf_counter()
     kind = _payload(doc)
-    if kind == "operations":
-        _exec_operations(doc, tol, rep, args.threads)
-    elif kind == "detectors" and "tripartite" in doc["detectors"]:
-        _sweep_tripartite(doc, rep, args.threads)
-    else:
-        raise UnknownParameter(f"{kind} documents have no sweep parameters")
+    handler = _ROUTES[command].get(kind)
+    if handler is None and command == "sweep":
+        raise UnknownParameter(
+            f"{kind.split('.')[0]} documents have no sweep parameters")
+    if handler is None:
+        (need,) = _ROUTES[command]
+        raise ValidationError(f"{args.suite} suite needs {_NEEDS[need]}")
+    handler(doc, tol, rep, args)
     rep.timings["execute_s"] = time.perf_counter() - t0
     return rep
 
 
-def _sweep_tripartite(doc: dict, rep: RunReport, threads: int) -> None:
-    param = doc["sweep"]["param"]
-    if param != "coupling":
-        raise UnknownParameter(f"tripartite sweeps support 'coupling', not {param!r}")
-    kick_fn, bridge, receiver, fb, max_order = build_tripartite(doc)
-    if bridge is None:
-        raise UnknownParameter("no bridge detector whose coupling could be swept")
-    grid = grid_values(doc["sweep"])
-
-    def point(v: float) -> dict:
-        orders = tripartite_order_count(kick_fn, replace(bridge, coupling=v),
-                                        receiver, fb, sigma_x, _GROUND,
-                                        _GROUND, max_order)
-        return {"coupling": v, **{f"order{k}": float(w)
-                                  for k, w in sorted(orders.items())}}
-
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        rep.rows = list(ex.map(point, grid))
-    rep.columns = list(rep.rows[0])
-
-
-def _parse_grid(spec: str | None):
+def _parse_grid(spec: str | None) -> tuple[float, ...]:
     if not spec:
         raise ValidationError("--param needs a --grid specification")
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ValidationError("grid ranges are start:stop:count")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        return [float(v) for v in np.linspace(start, stop, count)]
-    return [float(v) for v in spec.split(",")]
+    try:
+        if ":" in spec:
+            start, stop, count = spec.split(":")
+            grid = {"start": float(start), "stop": float(stop), "count": int(count)}
+        else:
+            grid = [float(v) for v in spec.split(",")]
+    except ValueError as e:
+        raise ValidationError(
+            f"--grid {spec!r} is neither start:stop:count nor v1,v2,...") from e
+    return grid_values({"grid": grid})
+
+
+def _thread_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 # -- entry point --------------------------------------------------------------
@@ -388,12 +364,12 @@ def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="causalq",
                                 description="no-signalling checks for measurement scenarios")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, fn in (("run", cmd_run), ("check", cmd_check), ("sweep", cmd_sweep)):
+    for name in ("run", "check", "sweep"):
         q = sub.add_parser(name)
         q.add_argument("file", type=Path)
         q.add_argument("--out", type=Path, default=Path("."))
         q.add_argument("--format", choices=("csv", "json"), default="csv")
-        q.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        q.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1)
         q.add_argument("--seed", type=int, default=0)
         if name == "check":
             q.add_argument("--suite", required=True,
@@ -401,14 +377,13 @@ def _parser() -> argparse.ArgumentParser:
         if name == "sweep":
             q.add_argument("--param")
             q.add_argument("--grid")
-        q.set_defaults(fn=fn)
     return p
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        rep = args.fn(args)
+        rep = _execute(args)
     except (ParseError, ValidationError, UnknownParameter, UnknownPreset,
             FileNotFoundError) as e:
         print(f"input error: {e}", file=sys.stderr)

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import dataclasses
+import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 
@@ -41,13 +43,22 @@ _KEYS = {
 }
 
 
-def with_overrides(overrides: dict | None, base: Tolerances = DEFAULT) -> Tolerances:
-    """Apply a ``{"tol.<name>": value}`` mapping on top of ``base``."""
+def with_overrides(overrides: Mapping | None, base: Tolerances = DEFAULT) -> Tolerances:
+    """Apply a ``{"tol.<name>": value}`` mapping on top of ``base``.
+
+    Raises ``KeyError`` for an unknown key and ``ValueError`` when
+    ``overrides`` is not a mapping or a value is not a real number.
+    """
+    if overrides is not None and not isinstance(overrides, Mapping):
+        raise ValueError(
+            f"expected a mapping of tolerances, got {type(overrides).__name__}")
     if not overrides:
         return base
     kw = {}
     for key, value in overrides.items():
         if key not in _KEYS:
             raise KeyError(f"unknown tolerance key {key!r}")
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{key} must be a real number, not {value!r}")
         kw[_KEYS[key]] = float(value)
     return base.replace(**kw)

@@ -174,7 +174,6 @@ class LocalOperator:
     space: ProductSpace
     matrix: np.ndarray
     support: frozenset | None = None
-    region: object = None
     tol: Tolerances = field(default=DEFAULT, repr=False)
 
     def __post_init__(self):
@@ -193,7 +192,7 @@ class LocalOperator:
                     "matrix is not identity outside the declared support")
 
     def dagger(self) -> "LocalOperator":
-        return LocalOperator(self.space, dag(self.matrix), self.support, self.region)
+        return LocalOperator(self.space, dag(self.matrix), self.support)
 
     def _merge(self, other: "LocalOperator", mat: np.ndarray) -> "LocalOperator":
         if other.space != self.space:
@@ -212,12 +211,12 @@ class LocalOperator:
         return self._merge(other, self.matrix - other.matrix)
 
     def __mul__(self, c):
-        return LocalOperator(self.space, c * self.matrix, self.support, self.region)
+        return LocalOperator(self.space, c * self.matrix, self.support)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return LocalOperator(self.space, -self.matrix, self.support, self.region)
+        return LocalOperator(self.space, -self.matrix, self.support)
 
 
 def _scale(m: np.ndarray) -> float:
@@ -277,13 +276,12 @@ def _apply_matrix(op: np.ndarray, target_labels: Sequence[str], sp: ProductSpace
     return y.reshape(x.shape).transpose(np.argsort(perm)).reshape(m.shape)
 
 
-def embed(op, target_labels: Sequence[str] | str, sp: ProductSpace,
-          region=None) -> LocalOperator:
+def embed(op, target_labels: Sequence[str] | str, sp: ProductSpace) -> LocalOperator:
     """Place `op` on the named factors, identity elsewhere."""
     if isinstance(target_labels, str):
         target_labels = [target_labels]
     m = _embed_matrix(_as_matrix(op), target_labels, sp)
-    return LocalOperator(sp, m, frozenset(target_labels), region)
+    return LocalOperator(sp, m, frozenset(target_labels))
 
 
 def _ptrace_matrix(m: np.ndarray, sp: ProductSpace, keep: Sequence[str]) -> np.ndarray:

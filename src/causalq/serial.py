@@ -448,8 +448,10 @@ def build_tripartite(doc: Mapping) -> tuple[SmearingFn, DetectorSpec | None,
 def grid_values(sweep: Mapping) -> tuple[float, ...]:
     g = sweep["grid"]
     if isinstance(g, dict):
-        vals = np.linspace(g["start"], g["stop"], g["count"])
-        return tuple(float(v) for v in vals)
-    if not g:
+        if g["count"] < 1:
+            raise ValidationError(
+                f"sweep grid count must be at least 1, not {g['count']}")
+        g = np.linspace(g["start"], g["stop"], g["count"])
+    if len(g) == 0:
         raise ValidationError("sweep grid is empty")
     return tuple(float(v) for v in g)

@@ -439,3 +439,59 @@ def test_unknown_tolerance_key_exit_2(tmp_path, capsys):
                      "--suite", "fv", "--out", tmp_path)
     assert rc == 2
     assert "tolerance" in err
+
+
+# one routing table for every command and suite
+
+COMMANDS = [["run"], ["check", "--suite", "borsten"], ["check", "--suite", "fuksa"],
+            ["check", "--suite", "fv"], ["check", "--suite", "detector"], ["sweep"]]
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: "-".join(c[::2]))
+@pytest.mark.parametrize("preset", sorted(p.stem for p in PRESETS.glob("*.json")))
+def test_every_preset_and_command_is_routed(tmp_path, capsys, preset, command):
+    rc, _, err = cli(capsys, command[0], PRESETS / f"{preset}.json", *command[1:],
+                     "--out", tmp_path)
+    assert rc in (0, 1, 2)
+    assert not err.startswith("internal error")
+
+
+@pytest.mark.parametrize("grid", ["x:1:3", "0:1:-2", "1,,2"])
+def test_sweep_malformed_grid_exit_2(tmp_path, capsys, grid):
+    rc, _, err = cli(capsys, "sweep", PRESETS / "borsten_qubit.json",
+                     "--param", "gamma", "--grid", grid, "--out", tmp_path)
+    assert rc == 2
+    assert err.startswith("input error:")
+
+
+def test_check_detector_refuses_tripartite_before_building(tmp_path, capsys,
+                                                            monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("order table computed for a refused document")
+    monkeypatch.setattr("causalq.cli.tripartite_order_count", boom)
+    rc, _, err = cli(capsys, "check", PRESETS / "tripartite_orders.json",
+                     "--suite", "detector", "--out", tmp_path)
+    assert rc == 2
+    assert "detectors pair" in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_refused_at_parse_time(tmp_path, capsys, threads):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", str(PRESETS / "borsten_qubit.json"), "--threads", threads,
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "borsten_qubit.report.json").exists()
+
+
+@pytest.mark.parametrize("overrides", [[{"tol.trace": 1e-3}], {"tol.trace": None},
+                                       {"tol.trace": True}],
+                         ids=["list", "null", "bool"])
+def test_malformed_env_tolerances_exit_2(tmp_path, capsys, monkeypatch, overrides):
+    tolfile = tmp_path / "tol.json"
+    tolfile.write_text(json.dumps(overrides))
+    monkeypatch.setenv("CAUSALQ_TOL_OVERRIDES", str(tolfile))
+    rc, _, err = cli(capsys, "run", PRESETS / "fuksa_family.json", "--out", tmp_path)
+    assert rc == 2
+    assert err.startswith("input error: bad tolerance overrides:")
