@@ -92,7 +92,7 @@ def _tolerances(doc: dict) -> Tolerances:
             with open(env, "r", encoding="utf-8") as fh:
                 tol = with_overrides(json.load(fh), tol)
         tol = with_overrides(doc.get("tolerances"), tol)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
+    except (OSError, ValueError) as e:  # json.JSONDecodeError is a ValueError
         raise ValidationError(f"bad tolerance overrides: {e}") from e
     return tol
 
@@ -225,6 +225,10 @@ def _orders(kick_fn, bridge, receiver, fb, max_order) -> dict[str, float]:
 
 def _exec_tripartite(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
     rep.results.update(_orders(*build_tripartite(doc)))
+    if "sweep" in doc:
+        rep.checks.append(CheckResult(
+            "sweep.skipped", None,
+            note="run computes the table once; causalq sweep runs the sweep section"))
 
 
 def _sweep_tripartite(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:

@@ -46,8 +46,8 @@ _KEYS = {
 def with_overrides(overrides: Mapping | None, base: Tolerances = DEFAULT) -> Tolerances:
     """Apply a ``{"tol.<name>": value}`` mapping on top of ``base``.
 
-    Raises ``KeyError`` for an unknown key and ``ValueError`` when
-    ``overrides`` is not a mapping or a value is not a real number.
+    Raises ``ValueError`` for an unknown key, when ``overrides`` is not a
+    mapping, or when a value is not a real number.
     """
     if overrides is not None and not isinstance(overrides, Mapping):
         raise ValueError(
@@ -57,7 +57,7 @@ def with_overrides(overrides: Mapping | None, base: Tolerances = DEFAULT) -> Tol
     kw = {}
     for key, value in overrides.items():
         if key not in _KEYS:
-            raise KeyError(f"unknown tolerance key {key!r}")
+            raise ValueError(f"unknown tolerance key {key!r}")
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{key} must be a real number, not {value!r}")
         kw[_KEYS[key]] = float(value)

@@ -102,11 +102,6 @@ class DetectorSpec:
     def mu(self, t: float) -> np.ndarray:
         return monopole(self.gap, t)
 
-    def current(self, f: FieldModel, n: int, s: int) -> np.ndarray:
-        """chi(n) F(s) mu(t_n); Hermitian, zero off support."""
-        w = self.switching.get(int(n), 0.0) * self.smearing.get(int(s), 0.0)
-        return w * self.mu(n * f.dt)
-
 
 def detector(label: str, gap: float, coupling: float, step_lo: int, step_hi: int,
              site_lo: int, site_hi: int) -> DetectorSpec:

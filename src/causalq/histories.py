@@ -195,10 +195,6 @@ class HistoryFamily:
     def space(self) -> ProductSpace:
         return self.resolutions[0].space
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(r) for r in self.resolutions)
-
     def alphas(self):
         """All outcome index tuples, odometer order (last step fastest)."""
         yield from index_product(*(range(len(r)) for r in self.resolutions))

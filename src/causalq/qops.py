@@ -194,29 +194,15 @@ class LocalOperator:
     def dagger(self) -> "LocalOperator":
         return LocalOperator(self.space, dag(self.matrix), self.support)
 
-    def _merge(self, other: "LocalOperator", mat: np.ndarray) -> "LocalOperator":
+    def __add__(self, other):
         if other.space != self.space:
             raise SpaceMismatch("operators live on different spaces")
         sup = (None if self.support is None or other.support is None
                else self.support | other.support)
-        return LocalOperator(self.space, mat, sup)
-
-    def __matmul__(self, other):
-        return self._merge(other, self.matrix @ other.matrix)
-
-    def __add__(self, other):
-        return self._merge(other, self.matrix + other.matrix)
-
-    def __sub__(self, other):
-        return self._merge(other, self.matrix - other.matrix)
+        return LocalOperator(self.space, self.matrix + other.matrix, sup)
 
     def __mul__(self, c):
         return LocalOperator(self.space, c * self.matrix, self.support)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return LocalOperator(self.space, -self.matrix, self.support)
 
 
 def _scale(m: np.ndarray) -> float:

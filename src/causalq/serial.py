@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from pathlib import Path
 from typing import Mapping
 
-import jsonschema
 import numpy as np
 
 from .causal import cells, fig2_preset, rect
@@ -38,204 +38,200 @@ __all__ = [
     "build_tripartite", "grid_values",
 ]
 
-_NUMVEC = {
-    "type": "array", "minItems": 1,
-    "items": {"oneOf": [
-        {"type": "number"},
-        {"type": "array", "items": {"type": "number"},
-         "minItems": 2, "maxItems": 2},
-    ]},
-}
 
-_MATRIX = {
-    "type": "array", "minItems": 1,
-    "items": {"type": "array", "minItems": 1, "items": {"type": "number"}},
-}
+def _obj(properties: dict, **kw) -> dict:
+    """Every object is closed: a key that `properties` does not name is refused."""
+    return {"type": "object", "additionalProperties": False,
+            "properties": properties, **kw}
 
-_OPERATOR = {
-    "type": "object", "additionalProperties": False,
-    "properties": {
-        "pauli": {"enum": ["I", "X", "Y", "Z"]},
-        "factor": {"type": "string"},
-        "matrix": _MATRIX,
-        "imag": _MATRIX,
-        "projector": _NUMVEC,
+
+def _pair(kind: str) -> dict:
+    return {"type": "array", "items": {"type": kind}, "minItems": 2, "maxItems": 2}
+
+
+_NUMVEC = {"type": "array", "minItems": 1,
+           "items": {"oneOf": [{"type": "number"}, _pair("number")]}}
+_MATRIX = {"type": "array", "minItems": 1,
+           "items": {"type": "array", "minItems": 1, "items": {"type": "number"}}}
+_WEIGHTS = {"type": "object", "minProperties": 1,
+            "additionalProperties": {"type": "number"}}
+
+_OPERATOR = _obj(
+    {"pauli": {"enum": ["I", "X", "Y", "Z"]},
+     "factor": {"type": "string"},
+     "matrix": _MATRIX,
+     "imag": _MATRIX,
+     "projector": _NUMVEC},
+    oneOf=[{"required": ["pauli", "factor"]},
+           {"required": ["matrix"]},
+           {"required": ["projector"]}])
+
+_REGION = _obj(
+    {"rect": {"type": "array", "items": {"type": "number"},
+              "minItems": 4, "maxItems": 4},
+     "cells": {"type": "array", "minItems": 1, "items": _pair("integer")},
+     "period": {"type": ["integer", "null"]}},
+    oneOf=[{"required": ["rect"]}, {"required": ["cells"]}])
+
+_DETSPEC = _obj(
+    {"label": {"type": "string"},
+     "gap": {"type": "number"},
+     "coupling": {"type": "number", "minimum": 0},
+     "steps": _pair("integer"),
+     "sites": _pair("integer"),
+     "site": {"type": "integer"},
+     "switching": _WEIGHTS,
+     "smearing": _WEIGHTS},
+    required=["label", "gap", "coupling"])
+
+SCHEMA = _obj({
+    "geometry": _obj(
+        {"preset": {"const": "fig2"},
+         "regions": {"type": "object", "minProperties": 1,
+                     "additionalProperties": _REGION}}),
+    "space": _obj(
+        {"qubits": {"type": "array", "minItems": 1, "items": {"type": "string"}},
+         "factors": {"type": "object", "minProperties": 1,
+                     "additionalProperties": {"type": "integer", "minimum": 2}},
+         "state": _NUMVEC},
+        oneOf=[{"required": ["qubits"]}, {"required": ["factors"]}]),
+    "field": _obj(
+        {"mass": {"type": "number", "minimum": 0},
+         "sites": {"type": "integer", "minimum": 8},
+         "spacing": {"type": "number", "exclusiveMinimum": 0},
+         "steps": {"type": "integer", "minimum": 1}},
+        required=["sites"]),
+    "detectors": _obj(
+        {"pair": {"type": "array", "items": _DETSPEC, "minItems": 2, "maxItems": 2},
+         "tripartite": _obj(
+             {"kick_step": {"type": "integer", "minimum": 0},
+              "kick_site": {"type": "integer", "minimum": 0},
+              "kick_strength": {"type": "number"},
+              "bridge": {"oneOf": [_DETSPEC, {"type": "null"}]},
+              "receiver": _DETSPEC,
+              "modes": {"type": "array", "minItems": 1, "items": {"type": "integer"}},
+              "cutoff": {"type": "integer", "minimum": 2},
+              "max_order": {"type": "integer", "minimum": 1, "maximum": 6}},
+             required=["kick_step", "kick_site", "receiver", "modes", "cutoff"])},
+        oneOf=[{"required": ["pair"]}, {"required": ["tripartite"]}]),
+    "operations": {
+        "type": "array", "minItems": 1, "maxItems": 8,
+        "items": _obj(
+            {"kind": {"enum": ["kick", "kick_generator", "measure", "select",
+                               "observe"]},
+             "region": {"type": "string"},
+             "operator": _OPERATOR,
+             "param": {"type": "string"},
+             "name": {"type": "string"},
+             "bins": {"type": "array", "items": _pair("number")}},
+            required=["kind", "region", "operator"]),
     },
-    "oneOf": [
-        {"required": ["pauli", "factor"]},
-        {"required": ["matrix"]},
-        {"required": ["projector"]},
-    ],
-}
-
-_REGION = {
-    "type": "object", "additionalProperties": False,
-    "properties": {
-        "rect": {"type": "array", "items": {"type": "number"},
-                 "minItems": 4, "maxItems": 4},
-        "cells": {"type": "array", "minItems": 1,
-                  "items": {"type": "array", "items": {"type": "integer"},
-                            "minItems": 2, "maxItems": 2}},
-        "period": {"type": ["integer", "null"]},
+    "family": _obj(
+        {"steps": {"type": "array", "minItems": 1, "items": _obj(
+            {"projectors": {"type": "array", "minItems": 1, "items": _OPERATOR},
+             "observable": _OPERATOR},
+            oneOf=[{"required": ["projectors"]}, {"required": ["observable"]}])},
+         "times": {"type": "array", "items": {"type": "number"}}},
+        required=["steps"]),
+    "fv_preset": _obj(
+        {"name": {"enum": ["bostelmann", "cnot"]},
+         "valid": {"type": "boolean"},
+         "seed": {"type": "integer", "minimum": 0}},
+        required=["name"]),
+    "sweep": _obj(
+        {"param": {"type": "string"},
+         "grid": {"oneOf": [
+             {"type": "array", "items": {"type": "number"}},
+             _obj({"start": {"type": "number"},
+                   "stop": {"type": "number"},
+                   "count": {"type": "integer", "minimum": 1}},
+                  required=["start", "stop", "count"]),
+         ]}},
+        required=["param", "grid"]),
+    "tolerances": {
+        "type": "object", "additionalProperties": False,
+        "patternProperties": {r"^tol\.[a-z_]+$": {"type": "number"}},
     },
-    "oneOf": [{"required": ["rect"]}, {"required": ["cells"]}],
-}
+}, oneOf=[{"required": [k]} for k in ("operations", "family", "fv_preset", "detectors")])
 
-_DETSPEC = {
-    "type": "object", "additionalProperties": False,
-    "required": ["label", "gap", "coupling"],
-    "properties": {
-        "label": {"type": "string"},
-        "gap": {"type": "number"},
-        "coupling": {"type": "number", "minimum": 0},
-        "steps": {"type": "array", "items": {"type": "integer"},
-                  "minItems": 2, "maxItems": 2},
-        "sites": {"type": "array", "items": {"type": "integer"},
-                  "minItems": 2, "maxItems": 2},
-        "site": {"type": "integer"},
-        "switching": {"type": "object", "minProperties": 1,
-                      "additionalProperties": {"type": "number"}},
-        "smearing": {"type": "object", "minProperties": 1,
-                     "additionalProperties": {"type": "number"}},
-    },
-}
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "null": type(None), "number": (int, float), "integer": int}
 
-SCHEMA = {
-    "type": "object", "additionalProperties": False,
-    "properties": {
-        "geometry": {
-            "type": "object", "additionalProperties": False,
-            "properties": {
-                "preset": {"const": "fig2"},
-                "regions": {"type": "object", "minProperties": 1,
-                            "additionalProperties": _REGION},
-            },
-        },
-        "space": {
-            "type": "object", "additionalProperties": False,
-            "properties": {
-                "qubits": {"type": "array", "minItems": 1,
-                           "items": {"type": "string"}},
-                "factors": {"type": "object", "minProperties": 1,
-                            "additionalProperties": {"type": "integer",
-                                                     "minimum": 2}},
-                "state": _NUMVEC,
-            },
-            "oneOf": [{"required": ["qubits"]}, {"required": ["factors"]}],
-        },
-        "field": {
-            "type": "object", "additionalProperties": False,
-            "required": ["sites"],
-            "properties": {
-                "mass": {"type": "number", "minimum": 0},
-                "sites": {"type": "integer", "minimum": 8},
-                "spacing": {"type": "number", "exclusiveMinimum": 0},
-                "steps": {"type": "integer", "minimum": 1},
-            },
-        },
-        "detectors": {
-            "type": "object", "additionalProperties": False,
-            "properties": {
-                "pair": {"type": "array", "items": _DETSPEC,
-                         "minItems": 2, "maxItems": 2},
-                "tripartite": {
-                    "type": "object", "additionalProperties": False,
-                    "required": ["kick_step", "kick_site", "receiver",
-                                 "modes", "cutoff"],
-                    "properties": {
-                        "kick_step": {"type": "integer", "minimum": 0},
-                        "kick_site": {"type": "integer", "minimum": 0},
-                        "kick_strength": {"type": "number"},
-                        "bridge": {"oneOf": [_DETSPEC, {"type": "null"}]},
-                        "receiver": _DETSPEC,
-                        "modes": {"type": "array", "minItems": 1,
-                                  "items": {"type": "integer"}},
-                        "cutoff": {"type": "integer", "minimum": 2},
-                        "max_order": {"type": "integer", "minimum": 1,
-                                      "maximum": 6},
-                    },
-                },
-            },
-            "oneOf": [{"required": ["pair"]}, {"required": ["tripartite"]}],
-        },
-        "operations": {
-            "type": "array", "minItems": 1, "maxItems": 8,
-            "items": {
-                "type": "object", "additionalProperties": False,
-                "required": ["kind", "region", "operator"],
-                "properties": {
-                    "kind": {"enum": ["kick", "kick_generator", "measure",
-                                      "select", "observe"]},
-                    "region": {"type": "string"},
-                    "operator": _OPERATOR,
-                    "param": {"type": "string"},
-                    "name": {"type": "string"},
-                    "bins": {"type": "array",
-                             "items": {"type": "array",
-                                       "items": {"type": "number"},
-                                       "minItems": 2, "maxItems": 2}},
-                },
-            },
-        },
-        "family": {
-            "type": "object", "additionalProperties": False,
-            "required": ["steps"],
-            "properties": {
-                "steps": {
-                    "type": "array", "minItems": 1,
-                    "items": {
-                        "type": "object", "additionalProperties": False,
-                        "properties": {
-                            "projectors": {"type": "array", "minItems": 1,
-                                           "items": _OPERATOR},
-                            "observable": _OPERATOR,
-                        },
-                        "oneOf": [{"required": ["projectors"]},
-                                  {"required": ["observable"]}],
-                    },
-                },
-                "times": {"type": "array", "items": {"type": "number"}},
-            },
-        },
-        "fv_preset": {
-            "type": "object", "additionalProperties": False,
-            "required": ["name"],
-            "properties": {
-                "name": {"enum": ["bostelmann", "cnot"]},
-                "valid": {"type": "boolean"},
-                "seed": {"type": "integer", "minimum": 0},
-            },
-        },
-        "sweep": {
-            "type": "object", "additionalProperties": False,
-            "required": ["param", "grid"],
-            "properties": {
-                "param": {"type": "string"},
-                "grid": {"oneOf": [
-                    {"type": "array", "items": {"type": "number"}},
-                    {"type": "object", "additionalProperties": False,
-                     "required": ["start", "stop", "count"],
-                     "properties": {"start": {"type": "number"},
-                                    "stop": {"type": "number"},
-                                    "count": {"type": "integer",
-                                              "minimum": 1}}},
-                ]},
-            },
-        },
-        "tolerances": {
-            "type": "object", "additionalProperties": False,
-            "patternProperties": {r"^tol\.[a-z_]+$": {"type": "number"}},
-        },
-    },
-    "oneOf": [
-        {"required": ["operations"]},
-        {"required": ["family"]},
-        {"required": ["fv_preset"]},
-        {"required": ["detectors"]},
-    ],
-}
 
-_VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
+def _is(value, kind: str) -> bool:
+    """JSON types: a bool is not a number, and 1.0 is an integer."""
+    if isinstance(value, bool):
+        return kind == "boolean"
+    return (isinstance(value, _TYPES[kind])
+            or kind == "integer" and isinstance(value, float) and value.is_integer())
+
+
+def _errors(value, schema: Mapping, path: tuple):
+    """Yield ``(path, message)`` for each way the JSON `value` breaks `schema`.
+
+    Covers the keywords `SCHEMA` uses, with JSON Schema 2020-12 semantics,
+    applied in the schema's key order; the tests hold the first error by path
+    to a reference validator.  `SCHEMA`'s consts and enums are strings, for
+    which Python equality is JSON equality.
+    """
+    obj, arr, num = isinstance(value, dict), isinstance(value, list), _is(value, "number")
+    for key, arg in schema.items():
+        if key == "type":
+            kinds = arg if isinstance(arg, list) else [arg]
+            if not any(_is(value, k) for k in kinds):
+                yield path, f"{value!r} is not of type {', '.join(map(repr, kinds))}"
+        elif key == "const" and value != arg:
+            yield path, f"{arg!r} was expected"
+        elif key == "enum" and value not in arg:
+            yield path, f"{value!r} is not one of {arg!r}"
+        elif key == "oneOf":
+            ok = [s for s in arg if next(_errors(value, s, path), None) is None]
+            if not ok:
+                yield path, f"{value!r} is not valid under any of the given schemas"
+            elif len(ok) > 1:  # the later matches first, then the first match
+                yield path, f"{value!r} is valid under each of {_reprs(ok[1:] + ok[:1])}"
+        elif key == "required" and obj:
+            yield from ((path, f"{k!r} is a required property") for k in arg if k not in value)
+        elif key == "properties" and obj:
+            for k in arg.keys() & value.keys():
+                yield from _errors(value[k], arg[k], path + (k,))
+        elif key == "patternProperties" and obj:
+            for k in value:
+                for pattern in (p for p in arg if re.search(p, k)):
+                    yield from _errors(value[k], arg[pattern], path + (k,))
+        elif key == "additionalProperties" and obj:
+            pats = schema.get("patternProperties", {})
+            extras = sorted(k for k in value if k not in schema.get("properties", {})
+                            and not any(re.search(p, k) for p in pats))
+            if arg is not False:
+                for k in extras:
+                    yield from _errors(value[k], arg, path + (k,))
+            elif extras and pats:
+                yield path, (f"{_reprs(extras)} {'does' if len(extras) == 1 else 'do'} "
+                             f"not match any of the regexes: {_reprs(sorted(pats))}")
+            elif extras:
+                yield path, (f"Additional properties are not allowed ({_reprs(extras)} "
+                             f"{'was' if len(extras) == 1 else 'were'} unexpected)")
+        elif key == "items" and arr:
+            for i, v in enumerate(value):
+                yield from _errors(v, arg, path + (i,))
+        elif key == "minItems" and arr and len(value) < arg:
+            yield path, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+        elif key == "maxItems" and arr and len(value) > arg:
+            yield path, f"{value!r} is too long"
+        elif key == "minProperties" and obj and len(value) < arg:
+            more = "should be non-empty" if arg == 1 else "does not have enough properties"
+            yield path, f"{value!r} {more}"
+        elif key == "minimum" and num and value < arg:
+            yield path, f"{value!r} is less than the minimum of {arg!r}"
+        elif key == "maximum" and num and value > arg:
+            yield path, f"{value!r} is greater than the maximum of {arg!r}"
+        elif key == "exclusiveMinimum" and num and value <= arg:
+            yield path, f"{value!r} is less than or equal to the minimum of {arg!r}"
+
+
+def _reprs(items) -> str:
+    return ", ".join(map(repr, items))
 
 
 def load_document(path) -> dict:
@@ -245,11 +241,11 @@ def load_document(path) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
-    errors = sorted(_VALIDATOR.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        e = errors[0]
-        where = "/".join(str(p) for p in e.absolute_path) or "(top level)"
-        raise ValidationError(f"{where}: {e.message}")
+    # the first error by path; ties keep the order the schema's keys give
+    first = min(_errors(doc, SCHEMA, ()), key=lambda e: e[0], default=None)
+    if first is not None:
+        where = "/".join(map(str, first[0])) or "(top level)"
+        raise ValidationError(f"{where}: {first[1]}")
     return doc
 
 

@@ -428,8 +428,23 @@ def test_select_with_non_projector_fails(tmp_path, capsys):
 def test_cli_import_leaves_scipy_unloaded():
     src = str(Path(causalq.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import causalq.cli, sys; assert 'scipy' not in sys.modules"
+    code = ("import causalq.cli, sys; assert 'scipy' not in sys.modules; "
+            "assert 'jsonschema' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+@pytest.mark.parametrize("argv", [["run", "borsten_qubit.json"],
+                                  ["check", "fuksa_family.json", "--suite", "fuksa"]],
+                         ids=["run", "check_fuksa"])
+def test_cli_runs_with_jsonschema_and_scipy_blocked(tmp_path, argv):
+    src = str(Path(causalq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [argv[0], str(PRESETS / argv[1]), *argv[2:], "--out", str(tmp_path)]
+    code = ("import sys; sys.modules['jsonschema'] = sys.modules['scipy'] = None; "
+            f"from causalq import cli; sys.exit(cli.main({argv!r}))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_unknown_tolerance_key_exit_2(tmp_path, capsys):
@@ -439,6 +454,19 @@ def test_unknown_tolerance_key_exit_2(tmp_path, capsys):
                      "--suite", "fv", "--out", tmp_path)
     assert rc == 2
     assert "tolerance" in err
+    assert err == "input error: bad tolerance overrides: unknown tolerance key 'tol.nope'\n"
+
+
+def test_run_tripartite_reports_skipped_sweep(tmp_path, capsys):
+    rc, out, _ = cli(capsys, "run", PRESETS / "tripartite_orders.json", "--out", tmp_path)
+    assert rc == 0
+    assert "[info] sweep.skipped (" in out and "causalq sweep" in out
+    rep = read_report(tmp_path, "tripartite_orders")
+    assert rep["passed"] is True
+    assert [c["name"] for c in rep["checks"]] == ["sweep.skipped"]
+    assert rep["checks"][0]["passed"] is None
+    assert rep["results"] and all(k.startswith("order") for k in rep["results"])
+    assert not list(tmp_path.glob("*.data.*"))
 
 
 # one routing table for every command and suite
