@@ -5,10 +5,17 @@ the continuum, and finite sets of integer lattice cells (step, site) with unit
 spacing and an optional spatial period (wraparound on a ring of sites).  Light
 cones are closed and have unit slope; on the lattice that is one site per step.
 
+Every relation is one slope-1 inequality over pairs of closed boxes
+(t0, t1, x0, x1): a rectangle is one box, each cell a point box.  Spatial
+distances wrap on the ring when the regions share a period, so the labels
+(n, s) and (n, s + period) name one point.
+
 Precedence between regions is the existence of two *distinct* causally related
-points, one in each region.  A region therefore precedes itself exactly when it
-contains a timelike or lightlike point pair, and regions touching only at an
-instant do not precede one another.
+points, one in each region; on boxes that is a positive reach in time.  A
+region therefore precedes itself exactly when it contains a timelike or
+lightlike point pair, and regions touching only at an instant do not precede
+one another.  Spacelike means neither closed cone meets the other region;
+disjointness needs no test of its own, as a shared point lies in both cones.
 """
 from __future__ import annotations
 
@@ -67,16 +74,39 @@ def cells(items: Iterable[tuple[int, int]], period: int | None = None) -> CellRe
     return CellRegion(frozenset((int(n), int(s)) for n, s in items), period)
 
 
-def _site_dist(s1: int, s2: int, period: int | None) -> int:
-    d = abs(s1 - s2)
-    if period is not None:
-        d = min(d % period, (-d) % period)
-    return d
+def _boxes(r: Region) -> list[tuple]:
+    """The region as closed boxes (t0, t1, x0, x1); each cell is a point box."""
+    if isinstance(r, Rect):
+        return [(r.t0, r.t1, r.x0, r.x1)]
+    return [(n, n, s, s) for n, s in r.cells]
 
 
-def _interval_dist(a_lo, a_hi, b_lo, b_hi) -> float:
-    """Distance between closed intervals (0 when they overlap)."""
-    return max(0.0, max(a_lo, b_lo) - min(a_hi, b_hi))
+def _period(a: Region, b: Region) -> int | None:
+    """The spatial period the two regions share; None on the line."""
+    pa, pb = (r.period if isinstance(r, CellRegion) else None for r in (a, b))
+    if pa != pb:
+        if isinstance(a, CellRegion) and isinstance(b, CellRegion):
+            raise ValueError("lattice regions have different periods")
+        raise ValueError("periodic lattice regions cannot be compared with rectangles")
+    return pa
+
+
+def _ring(d, period: int | None):
+    """A spatial distance, wrapped on the ring when there is a period."""
+    return d if period is None else min(d % period, -d % period)
+
+
+def _reaches(ps: list, qs: list, period: int | None, strict: bool = False) -> bool:
+    """Some box q meets the closed future cone of some box p: the reach
+    dt = q.t1 - p.t0 covers their spatial gap, and is positive when `strict`.
+    """
+    for p in ps:
+        for q in qs:
+            dt = q[1] - p[0]
+            gap = _ring(max(0, max(p[2], q[2]) - min(p[3], q[3])), period)
+            if gap <= dt and (dt > 0 or not strict):
+                return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -86,17 +116,10 @@ class LightCone:
     sign: int
 
     def contains(self, t, x) -> bool:
+        """Whether the point (t, x) lies in the cone (a lattice point for cells)."""
         r = self.region
-        if isinstance(r, Rect):
-            if self.sign > 0:
-                return t >= r.t0 and _interval_dist(x, x, r.x0, r.x1) <= t - r.t0
-            return t <= r.t1 and _interval_dist(x, x, r.x0, r.x1) <= r.t1 - t
-        n, s = int(t), int(x)
-        for (cn, cs) in r.cells:
-            dn = (n - cn) * self.sign
-            if dn >= 0 and _site_dist(s, cs, r.period) <= dn:
-                return True
-        return False
+        ps, qs = _boxes(r), [(t, t, x, x)]
+        return _reaches(*((ps, qs) if self.sign > 0 else (qs, ps)), _period(r, r))
 
     def __contains__(self, point) -> bool:
         return self.contains(*point)
@@ -126,30 +149,9 @@ def causal_past(r: Region) -> LightCone:
     return LightCone(r, -1)
 
 
-def _period_of(r: Region) -> int | None:
-    return r.period if isinstance(r, CellRegion) else None
-
-
-def _check_compatible(a: Region, b: Region) -> None:
-    pa, pb = _period_of(a), _period_of(b)
-    if isinstance(a, CellRegion) and isinstance(b, CellRegion):
-        if pa != pb:
-            raise ValueError("lattice regions have different periods")
-    elif pa is not None or pb is not None:
-        raise ValueError("periodic lattice regions cannot be compared with rectangles")
-
-
 def cone_meets(a: Region, b: Region) -> bool:
     """True when J+(a) intersects b (closed cones; shared points count)."""
-    _check_compatible(a, b)
-    if isinstance(a, Rect) and isinstance(b, Rect):
-        return b.t1 >= a.t0 and _interval_dist(a.x0, a.x1, b.x0, b.x1) <= b.t1 - a.t0
-    fut = causal_future(a)
-    if isinstance(b, CellRegion):
-        return any(fut.contains(n, s) for (n, s) in b.cells)
-    # a lattice, b rectangle: some cell of a has a future reaching b
-    return any(b.t1 >= n and _interval_dist(s, s, b.x0, b.x1) <= b.t1 - n
-               for (n, s) in a.cells)
+    return _reaches(_boxes(a), _boxes(b), _period(a, b))
 
 
 def precedes(a: Region, b: Region) -> bool:
@@ -158,55 +160,21 @@ def precedes(a: Region, b: Region) -> bool:
     Distinctness rules out coincident points, so touching at one instant with
     zero spatial offset does not count as precedence.
     """
-    _check_compatible(a, b)
-    if isinstance(a, CellRegion) and isinstance(b, CellRegion):
-        period = a.period
-        for (n1, s1) in a.cells:
-            for (n2, s2) in b.cells:
-                if (n1, s1) == (n2, s2):
-                    continue
-                if n2 >= n1 and _site_dist(s1, s2, period) <= n2 - n1:
-                    return True
-        return False
-    if isinstance(a, Rect) and isinstance(b, Rect):
-        if b.t1 > a.t0:
-            return _interval_dist(a.x0, a.x1, b.x0, b.x1) <= b.t1 - a.t0
-        return False
-    if isinstance(a, CellRegion):  # b is Rect: need a b-point strictly later
-        return any(b.t1 > n and _interval_dist(s, s, b.x0, b.x1) <= b.t1 - n
-                   for (n, s) in a.cells)
-    # a Rect, b CellRegion: need a cell strictly later than the earliest a-time
-    return any(n > a.t0 and _interval_dist(s, s, a.x0, a.x1) <= n - a.t0
-               for (n, s) in b.cells)
-
-
-def _overlap(a: Region, b: Region) -> bool:
-    if isinstance(a, Rect) and isinstance(b, Rect):
-        return (_interval_dist(a.t0, a.t1, b.t0, b.t1) == 0.0
-                and _interval_dist(a.x0, a.x1, b.x0, b.x1) == 0.0)
-    if isinstance(a, CellRegion) and isinstance(b, CellRegion):
-        return bool(a.cells & b.cells)
-    cell_r, box = (a, b) if isinstance(a, CellRegion) else (b, a)
-    return any(box.t0 <= n <= box.t1 and box.x0 <= s <= box.x1 for (n, s) in cell_r.cells)
+    return _reaches(_boxes(a), _boxes(b), _period(a, b), strict=True)
 
 
 def spacelike(a: Region, b: Region) -> bool:
-    """No causal curve joins the two regions (and they are disjoint)."""
-    return not _overlap(a, b) and not cone_meets(a, b) and not cone_meets(b, a)
+    """No causal curve joins the two regions (so they are also disjoint)."""
+    return not cone_meets(a, b) and not cone_meets(b, a)
 
 
 def _totally_ordered(a: Region, b: Region) -> bool:
-    """Every point of ``a`` causally precedes every point of ``b``."""
-    if isinstance(a, Rect) and isinstance(b, Rect):
-        worst = max(abs(b.x1 - a.x0), abs(a.x1 - b.x0))
-        return b.t0 - a.t1 >= worst
-    if isinstance(a, CellRegion) and isinstance(b, CellRegion):
-        period = a.period
-        return all(n2 - n1 >= _site_dist(s1, s2, period)
-                   for (n1, s1) in a.cells for (n2, s2) in b.cells)
-    if isinstance(a, Rect):
-        return all(n - a.t1 >= max(abs(s - a.x0), abs(s - a.x1)) for (n, s) in b.cells)
-    return all(b.t0 - n >= max(abs(s - b.x0), abs(s - b.x1)) for (n, s) in a.cells)
+    """Every point of ``a`` causally precedes every point of ``b``: for each
+    box pair, q.t0 - p.t1 covers the farthest spatial distance."""
+    period = _period(a, b)
+    qs = _boxes(b)
+    return all(q[0] - p[1] >= _ring(max(q[3] - p[2], p[3] - q[2]), period)
+               for p in _boxes(a) for q in qs)
 
 
 class CausalOrder:

@@ -31,7 +31,7 @@ from .fv import (bostelmann_check, bostelmann_preset, cnot_preset,
 from .histories import decoherence, fuksa_bipartite, fuksa_tripartite
 from .qops import opnorm, sigma_x
 from .random_ops import random_density, random_effect
-from .scenarios import borsten_check, pauli_strings
+from .scenarios import _worst_commutator, pauli_strings
 from .scenarios import run as run_scenario
 from .serial import (build_detector_pair, build_family, build_scenario,
                      build_tripartite, document_digest, fmt17, grid_values,
@@ -246,18 +246,18 @@ def _sweep_tripartite(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
 
 def _check_borsten(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
     s = build_scenario(doc, tol)
-    meas = [op for op in s.operations if op.kind == "measure"]
-    kicks = [op for op in s.operations if op.kind == "kick"]
-    obs = [op for op in s.operations if op.kind == "observe"]
-    if not meas or not kicks or not obs:
+    kinds = [op.kind for op in s.operations]
+    if not {"kick", "measure", "observe"} <= set(kinds):
         raise ValidationError(
             "borsten suite needs kick, measure, and observe operations")
-    lab1 = sorted(kicks[0].operator.support or s.space.labels)
-    lab3 = sorted(obs[0].operator.support or s.space.labels)
+    kick, obs = (s.operations[kinds.index(k)] for k in ("kick", "observe"))
+    lab1 = sorted(kick.operator.support or s.space.labels)
+    lab3 = sorted(obs.operator.support or s.space.labels)
     alg1 = pauli_strings(s.space, lab1)
     alg3 = pauli_strings(s.space, lab3)
-    ok, worst, witness = borsten_check(meas[0].operator, meas[0].bins,
-                                       alg1, alg3, tol)
+    # the scenario already holds the measurement's eigenprojectors
+    worst, witness = _worst_commutator(s.prepared[kinds.index("measure")], alg1, alg3)
+    ok = worst < tol.operator
     note = ""
     if witness is not None:
         i1 = next(i for i, o in enumerate(alg1) if o is witness[0])

@@ -30,7 +30,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .causal import CellRegion, cells, classify_configuration, precedes, spacelike
+from .causal import (CellRegion, _ring, cells, classify_configuration, precedes,
+                     spacelike)
 from .config import DEFAULT, Tolerances
 from .errors import CausalqError, NotCausallyOrderable, NotSorkinType
 from .field import FieldModel, FockBackend, SmearingFn, _kernel
@@ -130,10 +131,7 @@ def current_microcausality(d: DetectorSpec, f: FieldModel,
     count = 0
     for i, (n1, s1, w1) in enumerate(pts):
         for n2, s2, w2 in pts[i + 1:]:
-            dn = abs(n1 - n2)
-            dx = abs(s1 - s2) % f.sites
-            dist = min(dx, f.sites - dx)
-            if dist <= dn:
+            if _ring(s1 - s2, f.sites) <= abs(n1 - n2):
                 continue
             val = 2.0 * abs(np.sin(d.gap * f.dt * (n1 - n2))) * abs(w1 * w2)
             if val > tol.operator:

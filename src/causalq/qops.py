@@ -192,17 +192,17 @@ class LocalOperator:
                     "matrix is not identity outside the declared support")
 
     def dagger(self) -> "LocalOperator":
-        return LocalOperator(self.space, dag(self.matrix), self.support)
+        return LocalOperator(self.space, dag(self.matrix), self.support, self.tol)
 
     def __add__(self, other):
         if other.space != self.space:
             raise SpaceMismatch("operators live on different spaces")
         sup = (None if self.support is None or other.support is None
                else self.support | other.support)
-        return LocalOperator(self.space, self.matrix + other.matrix, sup)
+        return LocalOperator(self.space, self.matrix + other.matrix, sup, self.tol)
 
     def __mul__(self, c):
-        return LocalOperator(self.space, c * self.matrix, self.support)
+        return LocalOperator(self.space, c * self.matrix, self.support, self.tol)
 
 
 def _scale(m: np.ndarray) -> float:
@@ -409,7 +409,7 @@ def spectral_resolution(a: LocalOperator,
     vals = []
     for g in groups:
         cols = v[:, g]
-        projs.append(LocalOperator(a.space, cols @ dag(cols), a.support))
+        projs.append(LocalOperator(a.space, cols @ dag(cols), a.support, tol))
         vals.append(float(np.mean(w[g])))
     return ProjectiveResolution(a.space, tuple(projs), tuple(vals), bins_out, tol)
 

@@ -219,12 +219,26 @@ def signalling_delta(s: Scenario, observable: str | None = None) -> SignallingRe
     return SignallingReport(observable, base, grid, tuple(vals), delta)
 
 
+def _worst_commutator(projectors: Sequence[np.ndarray],
+                      alg1: Sequence[LocalOperator], alg3: Sequence[LocalOperator]):
+    """Largest ||[sum_n P_n A3 P_n, A1]|| over both bases, with its (A1, A3)."""
+    worst = 0.0
+    witness = None
+    for a3 in alg3:
+        cond = luders_sum(projectors, a3.matrix)
+        for a1 in alg1:
+            v = opnorm(commutator(cond, a1.matrix))
+            if v > worst:
+                worst = v
+                witness = (a1, a3)
+    return worst, witness
+
+
 def borsten_violation(a2: LocalOperator, a1: LocalOperator, a3: LocalOperator,
                       bins=None, tol: Tolerances = DEFAULT) -> float:
     """Commutator norm of the measured-and-averaged A3 with A1."""
     r = spectral_resolution(a2, bins, tol)
-    cond = luders_sum((p.matrix for p in r), a3.matrix)
-    return opnorm(commutator(cond, a1.matrix))
+    return _worst_commutator([p.matrix for p in r], [a1], [a3])[0]
 
 
 def borsten_check(a2: LocalOperator, bins,
@@ -241,15 +255,7 @@ def borsten_check(a2: LocalOperator, bins,
     if not alg1_basis or not alg3_basis:
         raise BasisEmpty("need non-empty operator bases for both regions")
     projectors = [p.matrix for p in spectral_resolution(a2, bins, tol)]
-    worst = 0.0
-    witness = None
-    for a3 in alg3_basis:
-        cond = luders_sum(projectors, a3.matrix)
-        for a1 in alg1_basis:
-            v = opnorm(commutator(cond, a1.matrix))
-            if v > worst:
-                worst = v
-                witness = (a1, a3)
+    worst, witness = _worst_commutator(projectors, alg1_basis, alg3_basis)
     return worst < tol.operator, worst, witness
 
 

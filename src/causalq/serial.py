@@ -282,8 +282,7 @@ def build_space(doc: Mapping) -> ProductSpace:
     return space(*((label, dim) for label, dim in sec["factors"].items()))
 
 
-def build_state(doc: Mapping, sp: ProductSpace,
-                tol: Tolerances = DEFAULT) -> DensityState:
+def build_state(doc: Mapping, sp: ProductSpace) -> DensityState:
     vec = doc.get("space", {}).get("state")
     if vec is None:
         raise ValidationError("space section has no prepared state")
@@ -291,6 +290,8 @@ def build_state(doc: Mapping, sp: ProductSpace,
     if v.size != sp.dim:
         raise ValidationError(
             f"state vector has {v.size} amplitudes, space dimension is {sp.dim}")
+    if not v.any():
+        raise ValidationError("state vector is zero")
     return pure_state(v, sp)
 
 
@@ -314,6 +315,8 @@ def build_regions(doc: Mapping) -> dict:
 def build_operator(spec: Mapping, sp: ProductSpace) -> LocalOperator:
     if "pauli" in spec:
         label = spec["factor"]
+        if label not in sp.labels:
+            raise ValidationError(f"no factor {label!r} in {sp.labels}")
         if sp.dim_of(label) != 2:
             raise ValidationError(f"factor {label!r} is not a qubit")
         return embed(_PAULI[spec["pauli"]], label, sp)
@@ -321,20 +324,23 @@ def build_operator(spec: Mapping, sp: ProductSpace) -> LocalOperator:
         v = _complex_vector(spec["projector"])
         if v.size != sp.dim:
             raise ValidationError("projector vector does not match the space")
+        if not v.any():
+            raise ValidationError("projector vector is zero")
         v = v / np.linalg.norm(v)
         return LocalOperator(sp, np.outer(v, v.conj()))
+    for key in ("matrix", "imag"):
+        rows = spec.get(key, ())
+        if key in spec and (len(rows) != sp.dim or any(len(r) != sp.dim for r in rows)):
+            raise ValidationError(f"{key} block is not {sp.dim} x {sp.dim}")
     m = np.array(spec["matrix"], dtype=complex)
     if "imag" in spec:
-        im = np.array(spec["imag"], dtype=float)
-        if im.shape != m.shape:
-            raise ValidationError("imag block does not match the matrix shape")
-        m = m + 1j * im
+        m = m + 1j * np.array(spec["imag"], dtype=float)
     return LocalOperator(sp, m)
 
 
 def build_scenario(doc: Mapping, tol: Tolerances = DEFAULT) -> Scenario:
     sp = build_space(doc)
-    init = build_state(doc, sp, tol)
+    init = build_state(doc, sp)
     regions = build_regions(doc)
     ops: list[LocalOperation] = []
     for i, entry in enumerate(doc["operations"]):
@@ -368,7 +374,7 @@ def build_scenario(doc: Mapping, tol: Tolerances = DEFAULT) -> Scenario:
 def build_family(doc: Mapping,
                  tol: Tolerances = DEFAULT) -> tuple[HistoryFamily, DensityState]:
     sp = build_space(doc)
-    rho = build_state(doc, sp, tol)
+    rho = build_state(doc, sp)
     steps = []
     for entry in doc["family"]["steps"]:
         if "projectors" in entry:

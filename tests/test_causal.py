@@ -244,3 +244,145 @@ def test_cone_meets_vs_precedes_instant_touch():
     b = rect(0, 0, 0, 0)
     assert cone_meets(a, b)
     assert not precedes(a, b)
+
+
+# The per-type formulas the box model replaced, kept as a test oracle.
+
+def _ref_site(s1, s2, period):
+    d = abs(s1 - s2)
+    return d if period is None else min(d % period, (-d) % period)
+
+
+def _ref_iv(a_lo, a_hi, b_lo, b_hi):
+    return max(0.0, max(a_lo, b_lo) - min(a_hi, b_hi))
+
+
+def _ref_contains(r, sign, t, x):
+    if isinstance(r, Rect):
+        if sign > 0:
+            return t >= r.t0 and _ref_iv(x, x, r.x0, r.x1) <= t - r.t0
+        return t <= r.t1 and _ref_iv(x, x, r.x0, r.x1) <= r.t1 - t
+    return any((t - cn) * sign >= 0 and _ref_site(x, cs, r.period) <= (t - cn) * sign
+               for cn, cs in r.cells)
+
+
+def _ref_cone_meets(a, b):
+    if isinstance(a, Rect) and isinstance(b, Rect):
+        return b.t1 >= a.t0 and _ref_iv(a.x0, a.x1, b.x0, b.x1) <= b.t1 - a.t0
+    if isinstance(b, CellRegion):
+        return any(_ref_contains(a, +1, n, s) for n, s in b.cells)
+    return any(b.t1 >= n and _ref_iv(s, s, b.x0, b.x1) <= b.t1 - n for n, s in a.cells)
+
+
+def _ref_precedes(a, b):
+    if isinstance(a, CellRegion) and isinstance(b, CellRegion):
+        return any((n1, s1) != (n2, s2) and n2 >= n1
+                   and _ref_site(s1, s2, a.period) <= n2 - n1
+                   for n1, s1 in a.cells for n2, s2 in b.cells)
+    if isinstance(a, Rect) and isinstance(b, Rect):
+        return b.t1 > a.t0 and _ref_iv(a.x0, a.x1, b.x0, b.x1) <= b.t1 - a.t0
+    if isinstance(a, CellRegion):
+        return any(b.t1 > n and _ref_iv(s, s, b.x0, b.x1) <= b.t1 - n for n, s in a.cells)
+    return any(n > a.t0 and _ref_iv(s, s, a.x0, a.x1) <= n - a.t0 for n, s in b.cells)
+
+
+def _ref_overlap(a, b):
+    if isinstance(a, Rect) and isinstance(b, Rect):
+        return (_ref_iv(a.t0, a.t1, b.t0, b.t1) == 0.0
+                and _ref_iv(a.x0, a.x1, b.x0, b.x1) == 0.0)
+    if isinstance(a, CellRegion) and isinstance(b, CellRegion):
+        return bool(a.cells & b.cells)
+    cr, box = (a, b) if isinstance(a, CellRegion) else (b, a)
+    return any(box.t0 <= n <= box.t1 and box.x0 <= s <= box.x1 for n, s in cr.cells)
+
+
+def _ref_spacelike(a, b):
+    return not (_ref_overlap(a, b) or _ref_cone_meets(a, b) or _ref_cone_meets(b, a))
+
+
+def _ref_totally_ordered(a, b):
+    if isinstance(a, Rect) and isinstance(b, Rect):
+        return b.t0 - a.t1 >= max(abs(b.x1 - a.x0), abs(a.x1 - b.x0))
+    if isinstance(a, CellRegion) and isinstance(b, CellRegion):
+        return all(n2 - n1 >= _ref_site(s1, s2, a.period)
+                   for n1, s1 in a.cells for n2, s2 in b.cells)
+    if isinstance(a, Rect):
+        return all(n - a.t1 >= max(abs(s - a.x0), abs(s - a.x1)) for n, s in b.cells)
+    return all(b.t0 - n >= max(abs(s - b.x0), abs(s - b.x1)) for n, s in a.cells)
+
+
+def _ref_classify(a, b, c):
+    if _ref_cone_meets(a, b) and _ref_cone_meets(b, c) and _ref_spacelike(a, c):
+        return "sorkin_type"
+    pairs = [(a, b), (b, c), (a, c)]
+    if all(_ref_totally_ordered(r, s) or _ref_totally_ordered(s, r) for r, s in pairs):
+        return "strictly_ordered"
+    if all(_ref_spacelike(r, s) for r, s in pairs):
+        return "all_spacelike"
+    return "other"
+
+
+def _random_rect(rng):
+    # half-integer corners make lightlike and instant contacts common
+    t0, x0 = rng.integers(-6, 7, size=2) / 2
+    dt, dx = rng.integers(0, 4, size=2) / 2
+    return rect(t0, t0 + dt, x0, x0 + dx)
+
+
+def _random_cells(rng, period=None):
+    hi = period if period is not None else 5
+    lo = 0 if period is not None else -4
+    k = int(rng.integers(1, 5))
+    return cells(zip(rng.integers(-3, 4, size=k), rng.integers(lo, hi, size=k)), period)
+
+
+def _random_pair(rng, kind):
+    if kind == "rect":
+        return _random_rect(rng), _random_rect(rng)
+    if kind == "chain":
+        return _random_cells(rng), _random_cells(rng)
+    if kind == "ring":
+        period = int(rng.choice([2, 3, 5, 8]))
+        return _random_cells(rng, period), _random_cells(rng, period)
+    pair = (_random_rect(rng), _random_cells(rng))
+    return pair if rng.random() < 0.5 else pair[::-1]
+
+
+@pytest.mark.parametrize("kind", ["rect", "chain", "ring", "mixed"])
+def test_box_relations_match_per_type_formulas(kind):
+    rng = np.random.default_rng(["rect", "chain", "ring", "mixed"].index(kind))
+    for _ in range(500):
+        a, b = _random_pair(rng, kind)
+        assert cone_meets(a, b) == _ref_cone_meets(a, b), (a, b)
+        assert precedes(a, b) == _ref_precedes(a, b), (a, b)
+        assert spacelike(a, b) == _ref_spacelike(a, b), (a, b)
+        assert causal._totally_ordered(a, b) == _ref_totally_ordered(a, b), (a, b)
+        t, x = int(rng.integers(-4, 5)), int(rng.integers(-5, 6))
+        if isinstance(a, CellRegion) and a.period is not None:
+            x %= a.period
+        for sign in (+1, -1):
+            cone = causal.LightCone(a, sign)
+            assert cone.contains(t, x) == _ref_contains(a, sign, t, x), (cone, t, x)
+
+
+def test_classify_cell_triples_match_per_type_formulas():
+    rng = np.random.default_rng(5)
+    seen = set()
+    for _ in range(400):
+        period = [None, 6][int(rng.integers(0, 2))]
+        triple = [_random_cells(rng, period) for _ in range(3)]
+        got = classify_configuration(*triple)
+        assert got == _ref_classify(*triple), triple
+        seen.add(got)
+    assert seen == {"sorkin_type", "strictly_ordered", "all_spacelike", "other"}
+
+
+def test_periodic_aliases_are_one_point():
+    # (0, -1) and (0, 7) label the same cell on a ring of 8 sites
+    a = cells([(0, -1)], period=8)
+    b = cells([(0, 7)], period=8)
+    assert cone_meets(a, b) and cone_meets(b, a)
+    assert not precedes(a, b) and not precedes(b, a)
+    assert not spacelike(a, b)
+    order = build_order([a, b])
+    assert not order.before(0, 1) and not order.before(1, 0)

@@ -166,6 +166,21 @@ def test_check_borsten_flags_violating_measure(tmp_path, capsys):
     assert rep["passed"] is False
 
 
+def test_check_borsten_resolves_each_measurement_once(tmp_path, capsys, monkeypatch):
+    from causalq import scenarios as sc
+    calls = []
+    resolve = sc.spectral_resolution
+
+    def counted(a, *args, **kwargs):
+        calls.append(a)
+        return resolve(a, *args, **kwargs)
+    monkeypatch.setattr(sc, "spectral_resolution", counted)
+    rc, out, _ = cli(capsys, "check", PRESETS / "borsten_qubit.json",
+                     "--suite", "borsten", "--out", tmp_path)
+    assert rc == 1 and "[FAIL] borsten.condition" in out
+    assert len(calls) == 1           # the preset has one measure operation
+
+
 def test_check_borsten_identity_measure_passes(tmp_path, capsys):
     doc = load_document(PRESETS / "borsten_qubit.json")
     doc["operations"][1]["operator"] = {"matrix": np.eye(4).tolist()}
@@ -253,6 +268,29 @@ def test_check_suite_payload_mismatch_exit_2(tmp_path, capsys):
                      "--suite", "fuksa", "--out", tmp_path)
     assert rc == 2
     assert "family" in err
+
+
+_ROW = [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("state, measured, message", [
+    ([0, 0, 0, 0], None, "state vector is zero"),
+    (None, {"projector": [0, 0, 0, 0]}, "projector vector is zero"),
+    (None, {"matrix": [_ROW, _ROW[:3], _ROW, _ROW]}, "matrix block is not 4 x 4"),
+    (None, {"matrix": [[1, 0], [0, 1]]}, "matrix block is not 4 x 4"),
+    (None, {"matrix": [_ROW[:3]] * 4}, "matrix block is not 4 x 4"),
+    (None, {"pauli": "Z", "factor": "C"}, "no factor 'C' in ('A', 'B')"),
+], ids=["zero_state", "zero_projector", "ragged_matrix", "matrix_2x2",
+        "matrix_4x3", "pauli_unknown_factor"])
+def test_bad_state_or_operator_exit_2(tmp_path, capsys, state, measured, message):
+    doc = load_document(PRESETS / "borsten_qubit.json")
+    if state is not None:
+        doc["space"]["state"] = state
+    if measured is not None:
+        doc["operations"][1]["operator"] = measured
+    rc, _, err = cli(capsys, "run", write_doc(tmp_path, doc), "--out", tmp_path)
+    assert rc == 2
+    assert err == f"input error: {message}\n"
 
 
 @pytest.mark.parametrize("times", [[1.0, 0.0], [0.0, 1.0, 2.0]],

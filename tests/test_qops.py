@@ -4,6 +4,7 @@ from scipy.linalg import expm
 
 from causalq import qops as q
 from causalq import random_ops as ro
+from causalq.config import DEFAULT
 from causalq.errors import (BinsNotCovering, DimensionMismatch, NotEffect,
                             NotHermitian, SpaceMismatch, TruncationTooLarge,
                             UnknownLabel, ZeroProbability)
@@ -334,3 +335,16 @@ def test_apply_matrix_matches_embed_then_multiply(targets):
     got = q._apply_matrix(op, targets, sp, m)
     assert got.shape == m.shape
     assert q.opnorm(got - want) <= 1e-12
+
+
+def test_derived_operators_keep_tolerances():
+    # a 1e-9 off-support term is inside a loosened support tolerance only
+    loose = DEFAULT.replace(support=1e-6)
+    m = np.kron(q.sigma_z, q.eye2) + 1e-9 * np.kron(q.sigma_x, q.sigma_z)
+    op = q.LocalOperator(AB, m, frozenset({"A"}), loose)
+    for derived, want in ((op.dagger(), m.conj().T), (op + op, 2 * m), (op * 2.0, 2 * m)):
+        assert derived.tol is loose
+        assert np.array_equal(derived.matrix, want)
+    r = q.spectral_resolution(op, tol=loose)
+    assert len(r) == 2
+    assert all(p.tol is loose and p.support == {"A"} for p in r)
