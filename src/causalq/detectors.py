@@ -36,7 +36,7 @@ from .config import DEFAULT, Tolerances
 from .errors import CausalqError, NotCausallyOrderable, NotSorkinType
 from .field import FieldModel, FockBackend, SmearingFn, _kernel
 from .qops import (LocalOperator, ProductSpace, _embed_matrix, commutator, dag,
-                   expih, herm_defect, opnorm, select_outcome, sigma_m,
+                   expih, is_hermitian, opnorm, select_outcome, sigma_m,
                    sigma_p)
 
 __all__ = [
@@ -151,14 +151,12 @@ class PerturbativeState:
     tol: Tolerances = dfield(default=DEFAULT, repr=False)
 
     def __post_init__(self):
-        if abs(np.trace(self.orders[0]) - 1.0) > self.tol.trace:
-            raise ValueError("zeroth order must have unit trace")
-        for k, m in enumerate(self.orders[1:], start=1):
-            if abs(np.trace(m)) > self.tol.trace:
-                raise ValueError(f"order {k} term must be traceless")
-        for m in self.orders:
-            if herm_defect(m) > self.tol.hermitian * max(1.0, opnorm(m)):
+        for k, m in enumerate(self.orders):
+            if not is_hermitian(m, self.tol):
                 raise ValueError("order terms must be Hermitian")
+            if abs(np.trace(m) - float(k == 0)) > self.tol.trace:
+                raise ValueError("zeroth order must have unit trace" if k == 0
+                                 else f"order {k} term must be traceless")
 
     def evaluate(self) -> np.ndarray:
         return sum(self.orders)
@@ -480,8 +478,7 @@ def tripartite_order_count(kick: SmearingFn, a: DetectorSpec | None,
 
 # measurement-update rules for a single detector
 
-def detector_update_selective(rho_joint: np.ndarray, s1: np.ndarray,
-                              p2: np.ndarray, det_dim: int = 2,
+def detector_update_selective(rho_joint: np.ndarray, s1: np.ndarray, p2: np.ndarray,
                               t1: float | None = None, t2: float | None = None,
                               tol: Tolerances = DEFAULT) -> tuple[np.ndarray, float]:
     """Project the detector factor after the interaction has switched off.
@@ -490,23 +487,22 @@ def detector_update_selective(rho_joint: np.ndarray, s1: np.ndarray,
     """
     if t1 is not None and t2 is not None and t2 < t1:
         raise ValueError("selection must not precede switch-off")
-    dim = rho_joint.shape[0]
-    proj = np.kron(p2, np.eye(dim // det_dim))
+    proj = np.kron(p2, np.eye(len(rho_joint) // 2))
     return select_outcome(proj, s1 @ rho_joint @ dag(s1), tol)
 
 
-def kraus_operators(s1: np.ndarray, psi: np.ndarray, det_dim: int = 2,
-                    basis: Sequence[np.ndarray] | None = None) -> list[np.ndarray]:
+def kraus_operators(s1: np.ndarray, psi: np.ndarray,
+                    basis: Sequence[np.ndarray] | None = None,
+                    tol: Tolerances = DEFAULT) -> list[np.ndarray]:
     """Field-factor Kraus operators M_i = <i| S |psi> for a detector prepared
-    in psi and read out in the given (default computational) basis."""
-    fdim = s1.shape[0] // det_dim
-    s4 = s1.reshape(det_dim, fdim, det_dim, fdim)
+    in psi, read out in the given (default computational) orthonormal basis."""
+    s4 = s1.reshape(2, len(s1) // 2, 2, -1)
     amp = np.einsum("ifjg,j->ifg", s4, np.asarray(psi, dtype=complex))
     if basis is None:
-        return [amp[i] for i in range(det_dim)]
+        return list(amp)
     bs = np.array([np.asarray(v, dtype=complex) for v in basis])
     gram = bs.conj() @ bs.T
-    if opnorm(gram - np.eye(len(bs))) > 1e-10:
+    if opnorm(gram - np.eye(len(bs))) > tol.unitary:
         raise ValueError("readout basis must be orthonormal")
     return [np.einsum("i,ifg->fg", v.conj(), amp) for v in bs]
 
@@ -522,37 +518,36 @@ def kraus_series(d: DetectorSpec, fb: FockBackend, psi: np.ndarray,
 
 
 def nonselective_forms(rho_f: np.ndarray, s1: np.ndarray, psi: np.ndarray,
-                       det_dim: int = 2,
-                       basis: Sequence[np.ndarray] | None = None
+                       basis: Sequence[np.ndarray] | None = None,
+                       tol: Tolerances = DEFAULT
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Outcome-summed update both ways: Kraus sum and detector partial trace."""
-    ms = kraus_operators(s1, psi, det_dim, basis)
+    ms = kraus_operators(s1, psi, basis, tol)
     ns1 = sum(m @ rho_f @ dag(m) for m in ms)
     psi = np.asarray(psi, dtype=complex)
     joint = s1 @ np.kron(np.outer(psi, psi.conj()), rho_f) @ dag(s1)
     fdim = rho_f.shape[0]
-    ns2 = np.einsum("ifig->fg", joint.reshape(det_dim, fdim, det_dim, fdim))
+    ns2 = np.einsum("ifig->fg", joint.reshape(2, fdim, 2, fdim))
     return ns1, ns2
 
 
-def detector_update_nonselective(rho_f: np.ndarray, s1: np.ndarray,
-                                 psi: np.ndarray, det_dim: int = 2,
+def detector_update_nonselective(rho_f: np.ndarray, s1: np.ndarray, psi: np.ndarray,
                                  basis: Sequence[np.ndarray] | None = None,
                                  tol: Tolerances = DEFAULT) -> np.ndarray:
-    ns1, ns2 = nonselective_forms(rho_f, s1, psi, det_dim, basis)
+    ns1, ns2 = nonselective_forms(rho_f, s1, psi, basis, tol)
     if opnorm(ns1 - ns2) > tol.operator * max(1.0, opnorm(ns1)):
         raise CausalqError("Kraus sum and partial-trace updates disagree")
     return ns1
 
 
 def dual_map_commutator(s1: np.ndarray, psi: np.ndarray, x_field: np.ndarray,
-                        u_field: np.ndarray, det_dim: int = 2) -> float:
+                        u_field: np.ndarray) -> float:
     """Norm of [E^dual(X), U] for the induced non-selective field channel.
 
     E^dual(X) = sum_i M_i^dag X M_i; a nonzero value flags that applying the
     update and applying the unitary do not commute as field-factor maps.
     """
-    ms = kraus_operators(s1, psi, det_dim)
+    ms = kraus_operators(s1, psi)
     ex = sum(dag(m) @ x_field @ m for m in ms)
     return opnorm(ex @ u_field - u_field @ ex)
 

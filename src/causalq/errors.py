@@ -96,7 +96,7 @@ class NotEffect(CausalqError):
 # -- histories ---------------------------------------------------------------
 
 class InvalidProjector(CausalqError):
-    """History step operator is not an orthogonal projector, within tolerance."""
+    """An operator required to be an orthogonal projector is not, within tolerance."""
 
 
 class NotExclusive(CausalqError):

@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 Point = tuple[int, int]
+_DEGENERATE = 1e-14  # normalization frequencies at or below it: degenerate modes
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +82,7 @@ class FieldModel:
         return self.spacing
 
     def _regular(self) -> np.ndarray:
-        return self.norm_freq > 1e-14
+        return self.norm_freq > _DEGENERATE
 
     def _build_wightman_table(self) -> np.ndarray:
         """Translation-invariant Wightman part, indexed [dn + steps, ds]."""
@@ -238,7 +239,7 @@ def _mode_kernel(f: FieldModel, modes: Sequence[int],
     th = f.theta[idx]
     om = f.phase_freq[idx]
     nm = f.norm_freq[idx]
-    if np.any(nm <= 1e-14):
+    if not f._regular()[idx].all():
         raise ValueError("mode-restricted kernels exclude degenerate modes")
     a = f.spacing
     ph = np.exp(np.multiply.outer(-1j * dn * a, om)
@@ -315,7 +316,7 @@ class FockBackend:
         if len(modes) == 0 or self.cutoff < 1:
             raise ValueError("need at least one mode and cutoff >= 1")
         for j in modes:
-            if f.norm_freq[_mode_index(f, j)] <= 1e-14:
+            if not f._regular()[_mode_index(f, j)]:
                 raise ValueError(f"mode {j} is degenerate; not representable")
         object.__setattr__(self, "modes", modes)
         sp = ProductSpace(tuple((self.mode_label(j), self.cutoff + 1)

@@ -40,8 +40,8 @@ from .config import DEFAULT, Tolerances
 from .errors import (CouplingOutsideK, DimensionMismatch, GeometryViolation,
                      NotCausallyOrderable, UnknownLabel, ZeroProbability)
 from .qops import (ProductSpace, _apply_matrix, _ptrace_matrix,
-                   _support_defect, check_effect, check_unitary, dag,
-                   herm_defect, opnorm, space)
+                   _support_defect, check_density, check_effect,
+                   check_unitary, dag, opnorm, space)
 from .random_ops import haar_unitary, random_density, random_hermitian
 
 __all__ = [
@@ -51,19 +51,6 @@ __all__ = [
     "induced_observable", "update_nonselective", "update_selective",
     "corollary6_check", "bostelmann_check", "cnot_preset", "bostelmann_preset",
 ]
-
-
-def _check_density(m: np.ndarray, dim: int, what: str, tol: Tolerances) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (dim, dim):
-        raise DimensionMismatch(f"{what} has shape {m.shape}, expected {(dim, dim)}")
-    if herm_defect(m) > tol.hermitian * max(1.0, opnorm(m)):
-        raise ValueError(f"{what} is not Hermitian")
-    if abs(np.trace(m) - 1.0) > tol.trace:
-        raise ValueError(f"{what} does not have unit trace")
-    if np.linalg.eigvalsh(m).min() < -tol.positivity:
-        raise ValueError(f"{what} is not positive semidefinite")
-    return m
 
 
 @dataclass(frozen=True)
@@ -155,8 +142,8 @@ class ProbeCoupling:
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError("probe dimension must be at least 2")
-        object.__setattr__(self, "sigma", _check_density(
-            self.sigma, self.dim, f"preparation of {self.label!r}", self.tol))
+        object.__setattr__(self, "sigma", check_density(
+            self.sigma, self.dim, self.tol, f"preparation of {self.label!r}"))
         gates = tuple(((int(n), int(x)), np.asarray(u, dtype=complex))
                       for (n, x), u in self.gates)
         object.__setattr__(self, "gates", gates)
@@ -324,7 +311,7 @@ def induced_observable(sm: ScatteringMap, b: np.ndarray,
     if sigma is None:
         sigma = p.sigma
     else:
-        sigma = _check_density(sigma, p.dim, "probe preparation", tol)
+        sigma = check_density(sigma, p.dim, tol, "probe preparation")
     big = dag(sm.s) @ _apply_matrix(b, [p.label], sm.space, sm.s)
     for q in sm.probes:
         big = _apply_matrix(sigma if q is p else q.sigma, [q.label], sm.space, big)
@@ -379,8 +366,7 @@ def update_selective(sm: ScatteringMap, omega: np.ndarray, b: np.ndarray,
     b = check_effect(b, p.dim, tol)
     overrides = None
     if sigma is not None:
-        overrides = {p.label: _check_density(sigma, p.dim, "probe preparation",
-                                             tol)}
+        overrides = {p.label: check_density(sigma, p.dim, tol, "probe preparation")}
     return _selective(sm, omega, {p.label: b}, tol, overrides)
 
 

@@ -41,7 +41,7 @@ from .errors import (CommutationPrecondition, DimensionMismatch,
                      SpaceMismatch)
 from .qops import (DensityState, LocalOperator, ProductSpace,
                    ProjectiveResolution, check_unitary, dag, expih,
-                   herm_defect, luders_sum, opnorm, projector_defect)
+                   herm_defect, is_hermitian, is_projector, luders_sum, opnorm)
 from .random_ops import random_density
 
 __all__ = [
@@ -108,11 +108,8 @@ class History:
         for i, (proj, _, _) in enumerate(steps):
             if proj.space != sp:
                 raise SpaceMismatch(f"step {i} lives on a different space")
-            herm, idem = projector_defect(proj.matrix)
-            if herm > self.tol.projector:
-                raise InvalidProjector(f"step {i} operator is not Hermitian")
-            if idem > self.tol.projector:
-                raise InvalidProjector(f"step {i} operator is not idempotent")
+            if not is_projector(proj.matrix, self.tol):
+                raise InvalidProjector(f"step {i} operator is not a projector")
         times = [s.time for s in steps]
         if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
             raise ValueError("step times are not non-decreasing")
@@ -128,7 +125,7 @@ class History:
             h = np.asarray(self.hamiltonian, dtype=complex)
             if h.shape != (sp.dim, sp.dim):
                 raise DimensionMismatch("hamiltonian does not match the space")
-            if herm_defect(h) > self.tol.hermitian * max(1.0, opnorm(h)):
+            if not is_hermitian(h, self.tol):
                 raise NotHermitian("hamiltonian is not Hermitian")
             object.__setattr__(self, "hamiltonian", h)
 

@@ -9,8 +9,10 @@ Every module builds on one primitive per idea, each working on plain arrays:
 * `expih(h, t)`: the Hermitian exponential exp(i t h), from one `eigh`;
 * `luders_sum(projectors, x)`: the non-selective Lueders sum sum_n P_n x P_n;
 * `select_outcome(p, rho, tol)`: the selective step (P rho P / w, w);
-* `check_unitary`, `check_effect`: validation against `Tolerances`, and
-  `projector_defect`, the measure that projector checks compare with it.
+* one validation rule per property, each reading its `Tolerances` field:
+  `is_hermitian` (`hermitian`, times the largest entry or 1), `is_projector`
+  (`projector`, on both `projector_defect`s), `check_density` (`is_hermitian`,
+  `trace`, `positivity`), `check_effect` and `check_unitary` (`unitary`).
 """
 from __future__ import annotations
 
@@ -20,8 +22,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import (BinsNotCovering, DimensionMismatch, NotEffect,
-                     NotHermitian, SpaceMismatch, TruncationTooLarge,
+from .errors import (BinsNotCovering, DimensionMismatch, InvalidProjector,
+                     NotEffect, NotHermitian, SpaceMismatch, TruncationTooLarge,
                      UnknownLabel, ZeroProbability)
 
 __all__ = [
@@ -31,7 +33,7 @@ __all__ = [
     "luders_selective", "partial_trace", "expectation",
     "pure_state", "dag", "commutator", "opnorm", "herm_defect",
     "expih", "luders_sum", "select_outcome", "check_unitary", "check_effect",
-    "projector_defect",
+    "projector_defect", "is_hermitian", "is_projector", "check_density",
     "sigma_x", "sigma_y", "sigma_z", "sigma_p", "sigma_m", "eye2",
 ]
 
@@ -66,6 +68,16 @@ def herm_defect(a: np.ndarray) -> float:
 def projector_defect(m: np.ndarray) -> tuple[float, float]:
     """(Hermiticity, idempotence) defects; both vanish for an orthogonal projector."""
     return herm_defect(m), opnorm(m @ m - m)
+
+
+def is_hermitian(m: np.ndarray, tol: Tolerances) -> bool:
+    """Hermitian within tol.hermitian, relative to the largest entry (at least 1)."""
+    return herm_defect(m) <= tol.hermitian * max(1.0, float(np.abs(m).max(initial=0.0)))
+
+
+def is_projector(m: np.ndarray, tol: Tolerances) -> bool:
+    """Orthogonal projector: both `projector_defect`s within tol.projector."""
+    return max(projector_defect(m)) <= tol.projector
 
 
 def expih(h: np.ndarray, t: float) -> np.ndarray:
@@ -105,13 +117,29 @@ def check_effect(b, dim: int, tol: Tolerances) -> np.ndarray:
     b = np.asarray(b, dtype=complex)
     if b.shape != (dim, dim):
         raise NotEffect(f"effect has shape {b.shape}, expected {(dim, dim)}")
-    if herm_defect(b) > tol.hermitian * max(1.0, opnorm(b)):
+    if not is_hermitian(b, tol):
         raise NotEffect("effect is not Hermitian")
     ev = np.linalg.eigvalsh((b + dag(b)) / 2)
     if ev.min() < -tol.positivity or ev.max() > 1.0 + tol.positivity:
         raise NotEffect(f"effect spectrum [{ev.min():.3e}, {ev.max():.3e}] "
                         "leaves [0, 1]")
     return b
+
+
+def check_density(m, dim: int, tol: Tolerances, what: str) -> np.ndarray:
+    """Return `m` as a dim x dim array after checking it is a density matrix."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (dim, dim):
+        raise DimensionMismatch(f"{what} has shape {m.shape}, expected {(dim, dim)}")
+    if not is_hermitian(m, tol):
+        raise NotHermitian(f"{what} is not Hermitian")
+    tr = m.trace()
+    if abs(tr - 1.0) > tol.trace:
+        raise ValueError(f"{what} does not have unit trace (trace {tr:.3e})")
+    w = np.linalg.eigvalsh((m + dag(m)) / 2).min()
+    if w < -tol.positivity:
+        raise ValueError(f"{what} is not positive semidefinite (eigenvalue {w:.3e})")
+    return m
 
 
 @dataclass(frozen=True)
@@ -205,10 +233,6 @@ class LocalOperator:
         return LocalOperator(self.space, c * self.matrix, self.support, self.tol)
 
 
-def _scale(m: np.ndarray) -> float:
-    return max(1.0, float(np.abs(m).max(initial=0.0)))
-
-
 def _support_defect(m: np.ndarray, sp: ProductSpace, support: frozenset) -> float:
     """Distance from `m` to (operator on support) x (identity elsewhere)."""
     sup_labels = [l for l in sp.labels if l in support]
@@ -292,19 +316,8 @@ class DensityState:
     tol: Tolerances = field(default=DEFAULT, repr=False)
 
     def __post_init__(self):
-        m = _as_matrix(self.matrix)
-        object.__setattr__(self, "matrix", m)
-        if m.shape[0] != self.space.dim:
-            raise DimensionMismatch(
-                f"matrix dim {m.shape[0]} != space dim {self.space.dim}")
-        if herm_defect(m) > self.tol.hermitian * _scale(m):
-            raise NotHermitian("density matrix is not Hermitian")
-        tr = m.trace()
-        if abs(tr - 1.0) > self.tol.trace:
-            raise ValueError(f"density matrix trace {tr} != 1")
-        w = np.linalg.eigvalsh((m + dag(m)) / 2)
-        if w.min() < -self.tol.positivity:
-            raise ValueError(f"density matrix has eigenvalue {w.min():.3e} < 0")
+        object.__setattr__(self, "matrix", check_density(
+            self.matrix, self.space.dim, self.tol, "density matrix"))
 
     @classmethod
     def pure(cls, vec, sp: ProductSpace, tol: Tolerances = DEFAULT) -> "DensityState":
@@ -336,20 +349,15 @@ class ProjectiveResolution:
     def __post_init__(self):
         if not self.projectors:
             raise ValueError("resolution needs at least one projector")
-        tot = np.zeros((self.space.dim, self.space.dim), dtype=complex)
         mats = [p.matrix for p in self.projectors]
         for i, p in enumerate(mats):
-            herm, idem = projector_defect(p)
-            if herm > self.tol.projector:
-                raise NotHermitian(f"projector {i} not Hermitian")
-            if idem > self.tol.projector:
-                raise ValueError(f"projector {i} not idempotent")
-            tot += p
+            if not is_projector(p, self.tol):
+                raise InvalidProjector(f"resolution member {i} is not a projector")
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
                 if opnorm(mats[i] @ mats[j]) > self.tol.projector:
                     raise ValueError(f"projectors {i},{j} not orthogonal")
-        if opnorm(tot - np.eye(self.space.dim)) > self.tol.projector:
+        if opnorm(sum(mats) - np.eye(self.space.dim)) > self.tol.projector:
             raise ValueError("projectors do not sum to the identity")
 
     def __len__(self) -> int:
@@ -374,7 +382,7 @@ def spectral_resolution(a: LocalOperator,
     whole spectrum.
     """
     m = a.matrix
-    if herm_defect(m) > tol.projector * _scale(m):
+    if not is_hermitian(m, tol):
         raise NotHermitian("spectral resolution of a non-Hermitian operator")
     w, v = np.linalg.eigh((m + dag(m)) / 2)
     groups: list[list[int]]
@@ -435,7 +443,7 @@ def luders_selective(rho: DensityState, e: LocalOperator,
                      tol: Tolerances = DEFAULT) -> tuple[DensityState, float]:
     """Conditional update (E rho E / p, p) with p = tr(E rho E)."""
     _check_space(rho, e)
-    if max(projector_defect(e.matrix)) > tol.projector:
+    if not is_projector(e.matrix, tol):
         raise NotEffect("selective update requires a projector")
     out, p = select_outcome(e.matrix, rho.matrix, tol)
     return DensityState(rho.space, out, rho.tol), p
@@ -456,6 +464,6 @@ def expectation(rho: DensityState, a: LocalOperator,
     """tr(rho A); returns a float for Hermitian A, else complex."""
     _check_space(rho, a)
     val = complex(np.trace(rho.matrix @ a.matrix))
-    if herm_defect(a.matrix) <= tol.hermitian * _scale(a.matrix):
+    if is_hermitian(a.matrix, tol):
         return float(val.real)
     return val

@@ -24,8 +24,8 @@ from .errors import (BasisEmpty, NotEffect, OrderSensitivity, SpaceMismatch,
                      UnknownParameter, UnknownPreset)
 from .field import FieldModel, fock_backend
 from .qops import (DensityState, LocalOperator, ProductSpace, check_unitary,
-                   commutator, dag, embed, expih, eye2, herm_defect,
-                   luders_sum, opnorm, projector_defect, pure_state,
+                   commutator, dag, embed, expih, eye2, is_hermitian,
+                   is_projector, luders_sum, opnorm, pure_state,
                    qubit_space, select_outcome, sigma_x, sigma_y, sigma_z,
                    spectral_resolution)
 
@@ -57,7 +57,7 @@ def kick(u: LocalOperator, region: Region, tol: Tolerances = DEFAULT) -> LocalOp
 def kick_generator(g: LocalOperator, region: Region, param: str,
                    tol: Tolerances = DEFAULT) -> LocalOperation:
     """Parametrized unitary exp(i v G); v=0 is the identity baseline."""
-    if herm_defect(g.matrix) > tol.hermitian * max(1.0, opnorm(g.matrix)):
+    if not is_hermitian(g.matrix, tol):
         raise ValueError("kick generator must be Hermitian")
     return LocalOperation("kick", region, g, name=param, parametric=True)
 
@@ -72,7 +72,7 @@ def measure(a: LocalOperator, region: Region,
 def select(p: LocalOperator, region: Region, name: str | None = None,
            tol: Tolerances = DEFAULT) -> LocalOperation:
     """Selective update on a projector outcome; probability recorded if named."""
-    if max(projector_defect(p.matrix)) > tol.projector:
+    if not is_projector(p.matrix, tol):
         raise NotEffect("select operator is not a projector")
     return LocalOperation("select", region, p, name=name)
 

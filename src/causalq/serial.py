@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 from typing import Mapping
@@ -234,11 +235,20 @@ def _reprs(items) -> str:
     return ", ".join(map(repr, items))
 
 
+def _finite(literal: str, parse=float):
+    """json number hook refusing NaN, +-Infinity and literals that overflow."""
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ParseError(f"number {literal} is not a finite double")
+    return value if parse is float else parse(literal)
+
+
 def load_document(path) -> dict:
-    """Parse and schema-validate a scenario file."""
+    """Parse (finite numbers only) and schema-validate a scenario file."""
     text = Path(path).read_text()
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_finite, parse_constant=_finite,
+                         parse_int=lambda s: _finite(s, int))
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
     # the first error by path; ties keep the order the schema's keys give
@@ -313,6 +323,8 @@ def build_regions(doc: Mapping) -> dict:
 
 
 def build_operator(spec: Mapping, sp: ProductSpace) -> LocalOperator:
+    if "imag" in spec and "matrix" not in spec:
+        raise ValidationError("an imag block needs a matrix block beside it")
     if "pauli" in spec:
         label = spec["factor"]
         if label not in sp.labels:

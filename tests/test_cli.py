@@ -280,8 +280,13 @@ _ROW = [0, 0, 0, 0]
     (None, {"matrix": [[1, 0], [0, 1]]}, "matrix block is not 4 x 4"),
     (None, {"matrix": [_ROW[:3]] * 4}, "matrix block is not 4 x 4"),
     (None, {"pauli": "Z", "factor": "C"}, "no factor 'C' in ('A', 'B')"),
+    (None, {"pauli": "X", "factor": "B", "imag": [[1]]},
+     "an imag block needs a matrix block beside it"),
+    (None, {"projector": [1, 0, 0, 0], "imag": [[1]]},
+     "an imag block needs a matrix block beside it"),
 ], ids=["zero_state", "zero_projector", "ragged_matrix", "matrix_2x2",
-        "matrix_4x3", "pauli_unknown_factor"])
+        "matrix_4x3", "pauli_unknown_factor", "imag_beside_pauli",
+        "imag_beside_projector"])
 def test_bad_state_or_operator_exit_2(tmp_path, capsys, state, measured, message):
     doc = load_document(PRESETS / "borsten_qubit.json")
     if state is not None:
@@ -291,6 +296,20 @@ def test_bad_state_or_operator_exit_2(tmp_path, capsys, state, measured, message
     rc, _, err = cli(capsys, "run", write_doc(tmp_path, doc), "--out", tmp_path)
     assert rc == 2
     assert err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999",
+                                     "1" + "0" * 400],
+                         ids=["nan", "infinity", "minus_infinity", "overflow",
+                              "overflow_int"])
+def test_non_finite_number_exit_2(tmp_path, capsys, literal):
+    doc = load_document(PRESETS / "borsten_qubit.json")
+    doc["space"]["state"][0] = "HOLE"
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc).replace('"HOLE"', literal))
+    rc, _, err = cli(capsys, "run", path, "--out", tmp_path)
+    assert rc == 2
+    assert err == f"input error: number {literal} is not a finite double\n"
 
 
 @pytest.mark.parametrize("times", [[1.0, 0.0], [0.0, 1.0, 2.0]],

@@ -345,6 +345,16 @@ def test_kraus_custom_basis():
         kraus_operators(s1, PSI_PLUS, basis=[had[0], 2 * had[1]])
 
 
+def test_kraus_basis_orthonormality_reads_tol_unitary():
+    _, s1, _ = _single_detector_setup()
+    skew = [np.array([1, 1], dtype=complex) / np.sqrt(2),
+            np.array([1, -1], dtype=complex) * (1 + 1e-6) / np.sqrt(2)]
+    with pytest.raises(ValueError, match="orthonormal"):
+        kraus_operators(s1, PSI_PLUS, basis=skew)
+    loose = DEFAULT.replace(unitary=1e-5)
+    assert len(kraus_operators(s1, PSI_PLUS, basis=skew, tol=loose)) == 2
+
+
 def test_nonselective_forms_agree():
     _, s1, rho_f = _single_detector_setup()
     n1, n2 = nonselective_forms(rho_f, s1, PSI_PLUS)

@@ -4,10 +4,14 @@ from scipy.linalg import expm
 
 from causalq import qops as q
 from causalq import random_ops as ro
+from causalq.causal import rect
 from causalq.config import DEFAULT
-from causalq.errors import (BinsNotCovering, DimensionMismatch, NotEffect,
-                            NotHermitian, SpaceMismatch, TruncationTooLarge,
-                            UnknownLabel, ZeroProbability)
+from causalq.detectors import PerturbativeState
+from causalq.errors import (BinsNotCovering, CausalqError, DimensionMismatch,
+                            NotEffect, NotHermitian, SpaceMismatch,
+                            TruncationTooLarge, UnknownLabel, ZeroProbability)
+from causalq.histories import History
+from causalq.scenarios import kick_generator
 
 AB = q.qubit_space("A", "B")
 PLUS = np.array([1, 1]) / np.sqrt(2)
@@ -348,3 +352,44 @@ def test_derived_operators_keep_tolerances():
     r = q.spectral_resolution(op, tol=loose)
     assert len(r) == 2
     assert all(p.tol is loose and p.support == {"A"} for p in r)
+
+
+def _offdiag(d: int, eps: float) -> np.ndarray:
+    m = np.zeros((d, d), dtype=complex)
+    m[0, 1] = eps
+    return m
+
+
+def _op(m: np.ndarray) -> q.LocalOperator:
+    return q.LocalOperator(q.space(("a", len(m))), m)
+
+
+HERMITIAN_SITES = {
+    "spectral_resolution": lambda m: q.spectral_resolution(_op(m)),
+    "kick_generator": lambda m: kick_generator(_op(m), rect(0, 1, 0, 1), "v"),
+    "check_effect": lambda m: q.check_effect(m, len(m), DEFAULT),
+    "DensityState": lambda m: q.DensityState(_op(m).space, m),
+    "History.hamiltonian": lambda m: History(((_op(np.eye(len(m))), "s", 0.0),),
+                                             hamiltonian=m),
+    "PerturbativeState": lambda m: PerturbativeState((m,), 0 * m, 0 * m),
+}
+
+
+@pytest.mark.parametrize("m, hermitian", [
+    (np.diag([1.0, -1.0]) + _offdiag(2, 1e-11), False),
+    (np.ones((8, 8)) + _offdiag(8, 5e-12), False),
+    (np.diag([1.0, -1.0]) + _offdiag(2, 1e-13), True),
+    (np.ones((8, 8)) + _offdiag(8, 5e-13), True),
+], ids=["z_1e-11", "ones8_5e-12", "z_1e-13", "ones8_5e-13"])
+def test_every_site_applies_one_hermiticity_rule(m, hermitian):
+    """Each site accepts `m` as Hermitian exactly when `is_hermitian` does;
+    refusals for other reasons (trace, spectrum) count as accepting it."""
+    assert q.is_hermitian(m, DEFAULT) is hermitian
+    verdicts = {}
+    for name, site in HERMITIAN_SITES.items():
+        try:
+            site(m)
+            verdicts[name] = True
+        except (CausalqError, ValueError) as e:
+            verdicts[name] = "Hermitian" not in str(e)
+    assert verdicts == dict.fromkeys(verdicts, hermitian)
