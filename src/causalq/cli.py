@@ -10,12 +10,13 @@ tolerance file applied below any per-document overrides.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,9 +76,7 @@ class RunReport:
             "seed": self.seed,
             "version": self.version,
             "passed": self.passed,
-            "checks": [{"name": c.name, "passed": c.passed,
-                        "measured": c.measured, "note": c.note}
-                       for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
             "residuals": self.residuals,
             "results": self.results,
             "timings": self.timings,
@@ -107,22 +106,19 @@ def _write_report(rep: RunReport, out_dir: Path, stem: str) -> Path:
 def _write_rows(rep: RunReport, out_dir: Path, stem: str, fmt: str) -> Path | None:
     if not rep.rows:
         return None
-    cols = list(rep.rows[0])
+    cols = list(rep.rows[0])  # the first row fixes the columns and their formats
+    text = [isinstance(rep.rows[0][k], str) for k in cols]
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    def cell(v):
-        return v if isinstance(v, str) else fmt17(v)
-
-    if fmt == "json":
+    if fmt == "json":  # floats keep every bit, as 17 significant digits do
         path = out_dir / f"{stem}.data.json"
-        rows = [{k: r[k] if isinstance(r[k], str) else float(fmt17(r[k]))
-                 for k in cols} for r in rep.rows]
+        rows = [{k: r[k] if t else float(r[k]) for k, t in zip(cols, text)}
+                for r in rep.rows]
         path.write_text(json.dumps(rows, indent=2) + "\n")
     else:
         path = out_dir / f"{stem}.data.csv"
-        lines = [",".join(cols)]
-        lines += [",".join(cell(r[k]) for k in cols) for r in rep.rows]
-        path.write_text("\n".join(lines) + "\n")
+        cells = [str if t else "%.17g".__mod__ for t in text]
+        rows = (",".join([f(r[k]) for f, k in zip(cells, cols)]) for r in rep.rows)
+        path.write_text("\n".join([",".join(cols), *rows]) + "\n")
     return path
 
 
@@ -162,13 +158,11 @@ def _exec_family(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
     rep.residuals["histories.consistency.weak"] = float(np.abs(off.real).max())
     rep.residuals["histories.consistency.strong"] = float(np.abs(off).max())
     rep.results["probability_sum"] = float(dm.probabilities.sum())
-    rep.rows = []
-    for i, a in enumerate(dm.alphas):
-        for j, b in enumerate(dm.alphas):
-            rep.rows.append({"alpha": ".".join(map(str, a)),
-                             "beta": ".".join(map(str, b)),
-                             "re": float(dm.matrix[i, j].real),
-                             "im": float(dm.matrix[i, j].imag)})
+    labels = [".".join(map(str, a)) for a in dm.alphas]
+    rep.rows = [{"alpha": a, "beta": b, "re": x, "im": y}
+                for a, xs, ys in zip(labels, dm.matrix.real.tolist(),
+                                     dm.matrix.imag.tolist())
+                for b, x, y in zip(labels, xs, ys)]
 
 
 def _exec_fv(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
@@ -364,6 +358,7 @@ def _thread_count(text: str) -> int:
 
 # -- entry point --------------------------------------------------------------
 
+@functools.cache  # parsing leaves the parser as it was, so it is built once
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="causalq",
                                 description="no-signalling checks for measurement scenarios")

@@ -333,8 +333,10 @@ def _joint_input(sm: ScatteringMap, omega: np.ndarray,
     return rho
 
 
-def update_nonselective(sm: ScatteringMap, omega: np.ndarray) -> np.ndarray:
+def update_nonselective(sm: ScatteringMap, omega: np.ndarray,
+                        tol: Tolerances = DEFAULT) -> np.ndarray:
     """System state after the coupling window: tr_P[S (omega (x) sigma) S^dag]."""
+    omega = check_density(omega, int(np.prod(sm.circuit.dims)), tol, "system state")
     rho = sm.theta_dual(_joint_input(sm, omega))
     return _ptrace_matrix(rho, sm.space, list(sm.circuit.site_labels))
 
@@ -362,6 +364,7 @@ def update_selective(sm: ScatteringMap, omega: np.ndarray, b: np.ndarray,
 
     B = 1 performs no filtering and reproduces the non-selective update.
     """
+    omega = check_density(omega, int(np.prod(sm.circuit.dims)), tol, "system state")
     p = _resolve_probe(sm, probe)
     b = check_effect(b, p.dim, tol)
     overrides = None

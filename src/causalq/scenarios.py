@@ -20,8 +20,8 @@ import numpy as np
 
 from .causal import Region, build_order, fig2_preset, spacelike
 from .config import DEFAULT, Tolerances
-from .errors import (BasisEmpty, NotEffect, OrderSensitivity, SpaceMismatch,
-                     UnknownParameter, UnknownPreset)
+from .errors import (BasisEmpty, NotEffect, NotHermitian, OrderSensitivity,
+                     SpaceMismatch, UnknownParameter, UnknownPreset)
 from .field import FieldModel, fock_backend
 from .qops import (DensityState, LocalOperator, ProductSpace, check_unitary,
                    commutator, dag, embed, expih, eye2, is_hermitian,
@@ -58,7 +58,7 @@ def kick_generator(g: LocalOperator, region: Region, param: str,
                    tol: Tolerances = DEFAULT) -> LocalOperation:
     """Parametrized unitary exp(i v G); v=0 is the identity baseline."""
     if not is_hermitian(g.matrix, tol):
-        raise ValueError("kick generator must be Hermitian")
+        raise NotHermitian("kick generator must be Hermitian")
     return LocalOperation("kick", region, g, name=param, parametric=True)
 
 

@@ -155,8 +155,8 @@ SCHEMA = _obj({
     },
 }, oneOf=[{"required": [k]} for k in ("operations", "family", "fv_preset", "detectors")])
 
-_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
-          "null": type(None), "number": (int, float), "integer": int}
+_TYPES = {"object": (dict,), "array": (list,), "string": (str,), "boolean": (bool,),
+          "null": (type(None),), "number": (int, float), "integer": (int,)}
 
 
 def _is(value, kind: str) -> bool:
@@ -214,8 +214,10 @@ def _errors(value, schema: Mapping, path: tuple):
                 yield path, (f"Additional properties are not allowed ({_reprs(extras)} "
                              f"{'was' if len(extras) == 1 else 'were'} unexpected)")
         elif key == "items" and arr:
-            for i, v in enumerate(value):
-                yield from _errors(v, arg, path + (i,))
+            # one flat pass: recurse only into elements of types a bare `type` omits
+            fast = _TYPES[arg["type"]] if arg.keys() == {"type"} else ()
+            for i in [i for i, v in enumerate(value) if type(v) not in fast]:
+                yield from _errors(value[i], arg, path + (i,))
         elif key == "minItems" and arr and len(value) < arg:
             yield path, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
         elif key == "maxItems" and arr and len(value) > arg:

@@ -1,0 +1,45 @@
+"""Seeded documents as large as the benchmark's operator documents.
+
+`matrix_document` measures a 32 x 32 observable on five qubits; `family_document`
+is a three-step, four-outcome history family on four qubits, whose decoherence
+table has 4096 rows.  Every matrix is written as `matrix` and `imag` blocks.
+"""
+import numpy as np
+
+
+def _block(m) -> dict:
+    return {"matrix": m.real.tolist(), "imag": m.imag.tolist()}
+
+
+def _resolution(dim, parts, rng):
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return [c @ c.conj().T for c in np.array_split(q, parts, axis=1)]
+
+
+def _state(dim, rng):
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return [[float(z.real), float(z.imag)] for z in v / np.linalg.norm(v)]
+
+
+def matrix_document(rng) -> dict:
+    projs = _resolution(32, 3, rng)
+    return {"geometry": {"preset": "fig2"},
+            "space": {"qubits": list("ABCDE"), "state": _state(32, rng)},
+            "operations": [
+                {"kind": "kick_generator", "region": "O1", "param": "g",
+                 "operator": {"pauli": "X", "factor": "A"}},
+                {"kind": "measure", "region": "O2",
+                 "operator": _block(sum(k * p for k, p in enumerate(projs)))},
+                {"kind": "observe", "region": "O3", "name": "C",
+                 "operator": {"pauli": "Z", "factor": "B"}}],
+            "sweep": {"param": "g", "grid": {"start": 0.0, "stop": 1.0, "count": 4}}}
+
+
+def family_document(rng) -> dict:
+    steps = []
+    for i in range(3):
+        projs = _resolution(16, 4, rng)
+        steps.append({"projectors": [_block(p) for p in projs]} if i % 2 == 0 else
+                     {"observable": _block(sum(k * p for k, p in enumerate(projs)))})
+    return {"space": {"qubits": list("ABCD"), "state": _state(16, rng)},
+            "family": {"steps": steps}}

@@ -11,10 +11,14 @@ import numpy as np
 import pytest
 
 import causalq
-from causalq import __version__
+from causalq import __version__, cli as cli_module
 from causalq.cli import main
 from causalq.errors import ParseError, ValidationError
-from causalq.serial import document_digest, dump_document, load_document
+from causalq.histories import decoherence
+from causalq.serial import (build_family, document_digest, dump_document, fmt17,
+                            load_document)
+
+from sized_documents import family_document
 
 PRESETS = Path(__file__).resolve().parents[1] / "presets"
 
@@ -298,6 +302,14 @@ def test_bad_state_or_operator_exit_2(tmp_path, capsys, state, measured, message
     assert err == f"input error: {message}\n"
 
 
+def test_non_hermitian_kick_generator_is_a_checked_error(tmp_path, capsys):
+    doc = load_document(PRESETS / "borsten_qubit.json")
+    doc["operations"][0]["operator"] = {"matrix": [[0, 1, 0, 0], *[[0] * 4] * 3]}
+    rc, _, err = cli(capsys, "run", write_doc(tmp_path, doc), "--out", tmp_path)
+    assert rc == 3
+    assert err == "error: NotHermitian: kick generator must be Hermitian\n"
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999",
                                      "1" + "0" * 400],
                          ids=["nan", "infinity", "minus_infinity", "overflow",
@@ -401,6 +413,60 @@ def test_sweep_threads_agree(tmp_path, capsys):
     assert a == b
 
 
+# data files against the per-entry reference
+
+def _reference_family_rows(dm) -> list[dict]:
+    """The decoherence table entry by entry, as one numpy scalar per cell."""
+    rows = []
+    for i, a in enumerate(dm.alphas):
+        for j, b in enumerate(dm.alphas):
+            rows.append({"alpha": ".".join(map(str, a)),
+                         "beta": ".".join(map(str, b)),
+                         "re": float(dm.matrix[i, j].real),
+                         "im": float(dm.matrix[i, j].imag)})
+    return rows
+
+
+def _reference_data(rows: list[dict], fmt: str) -> str:
+    """Each cell typed on its own, numbers through `fmt17`."""
+    cols = list(rows[0])
+    if fmt == "json":
+        return json.dumps([{k: r[k] if isinstance(r[k], str) else float(fmt17(r[k]))
+                            for k in cols} for r in rows], indent=2) + "\n"
+    lines = [",".join(cols)]
+    lines += [",".join(r[k] if isinstance(r[k], str) else fmt17(r[k]) for k in cols)
+              for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ["run", "fuksa_family.json"], ["run", "family_4_qubits"],
+    ["run", "borsten_qubit.json"], ["sweep", "tripartite_orders.json"],
+    ["sweep", "sorkin_qubit_baby.json", "--param", "lam", "--grid", "0:1:5"]],
+    ids=["fuksa_family", "family_4_qubits", "borsten_qubit", "tripartite_orders",
+         "sorkin_grid"])
+def test_data_files_match_per_entry_reference(tmp_path, capsys, monkeypatch, argv, fmt):
+    if argv[1] == "family_4_qubits":
+        path = write_doc(tmp_path, family_document(np.random.default_rng(5)),
+                         "family_4_qubits.json")
+    else:
+        path = PRESETS / argv[1]
+    tables = []
+    write = cli_module._write_rows
+    monkeypatch.setattr(cli_module, "_write_rows",
+                        lambda rep, *a: tables.append(rep.rows) or write(rep, *a))
+    rc, _, _ = cli(capsys, argv[0], path, *argv[2:], "--format", fmt,
+                   "--out", tmp_path / "out")
+    assert rc == 0
+    (rows,) = tables
+    if "family" in load_document(path):
+        fam, rho = build_family(load_document(path))
+        assert rows == _reference_family_rows(decoherence(fam, rho))
+    data = tmp_path / "out" / f"{path.stem}.data.{fmt}"
+    assert data.read_text() == _reference_data(rows, fmt)
+
+
 # determinism, round trip, tolerance plumbing
 
 def test_fixed_seed_reproduces_fv_residuals(tmp_path, capsys):
@@ -490,10 +556,22 @@ def test_cli_import_leaves_scipy_unloaded():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
-@pytest.mark.parametrize("argv", [["run", "borsten_qubit.json"],
-                                  ["check", "fuksa_family.json", "--suite", "fuksa"]],
-                         ids=["run", "check_fuksa"])
-def test_cli_runs_with_jsonschema_and_scipy_blocked(tmp_path, argv):
+# the nine README commands with their exit codes; "run" is borsten_qubit
+NINE_COMMANDS = {
+    "run": (["run", "borsten_qubit.json"], 0),
+    "run_sorkin_qubit_baby": (["run", "sorkin_qubit_baby.json"], 0),
+    "run_fuksa_family": (["run", "fuksa_family.json"], 0),
+    "run_bostelmann": (["run", "bostelmann.json"], 0),
+    "run_detector_pair": (["run", "detector_pair.json"], 0),
+    "run_tripartite_orders": (["run", "tripartite_orders.json"], 0),
+    "sweep_tripartite_orders": (["sweep", "tripartite_orders.json"], 0),
+    "check_borsten": (["check", "borsten_qubit.json", "--suite", "borsten"], 1),
+    "check_fuksa": (["check", "fuksa_family.json", "--suite", "fuksa"], 0),
+}
+
+
+@pytest.mark.parametrize("argv, want", NINE_COMMANDS.values(), ids=NINE_COMMANDS)
+def test_cli_runs_with_jsonschema_and_scipy_blocked(tmp_path, argv, want):
     src = str(Path(causalq.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     argv = [argv[0], str(PRESETS / argv[1]), *argv[2:], "--out", str(tmp_path)]
@@ -501,7 +579,7 @@ def test_cli_runs_with_jsonschema_and_scipy_blocked(tmp_path, argv):
             f"from causalq import cli; sys.exit(cli.main({argv!r}))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
                           capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == want, proc.stderr
 
 
 def test_unknown_tolerance_key_exit_2(tmp_path, capsys):

@@ -7,7 +7,7 @@ from causalq.causal import cells, spacelike
 from causalq.config import DEFAULT
 from causalq.errors import (CouplingOutsideK, DimensionMismatch,
                             GeometryViolation, NotCausallyOrderable, NotEffect,
-                            UnknownLabel, ZeroProbability)
+                            NotHermitian, UnknownLabel, ZeroProbability)
 from causalq.fv import (BostelmannReport, CircuitSpacetime, ProbeCoupling,
                         bostelmann_check, bostelmann_preset, cell_operator,
                         cnot_preset, corollary6_check, induced_observable,
@@ -218,6 +218,35 @@ def test_selective_zero_probability_raises():
     omega[0, 0] = 1.0                      # control stays 0, probe stays 0
     with pytest.raises(ZeroProbability):
         update_selective(sm, omega, np.diag([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("block, error, words", [
+    ([[1, 5], [0, -3]], NotHermitian, "system state is not Hermitian"),
+    ([[1, 0], [0, -3]], ValueError, "system state does not have unit trace"),
+    ([[2, 0], [0, -1]], ValueError, "system state is not positive semidefinite"),
+], ids=["non_hermitian", "trace_minus_2", "negative"])
+@pytest.mark.parametrize("update", [
+    update_nonselective, lambda sm, omega: update_selective(sm, omega, np.eye(2))],
+    ids=["nonselective", "selective"])
+def test_updates_refuse_a_system_state_that_is_no_density(update, block, error, words):
+    c, p = cnot_preset()
+    sm = scattering_map(c, p)
+    omega = np.zeros((4, 4), dtype=complex)
+    omega[:2, :2] = block
+    with pytest.raises(error, match=words):
+        update(sm, omega)
+
+
+def test_updates_read_the_trace_tolerance():
+    c, p = cnot_preset()
+    sm = scattering_map(c, p)
+    omega = np.diag([0.5 + 1e-9, 0.5, 0.0, 0.0]).astype(complex)
+    update_nonselective(sm, omega, DEFAULT.replace(trace=1e-8))
+    update_selective(sm, omega, np.eye(2), tol=DEFAULT.replace(trace=1e-8))
+    with pytest.raises(ValueError, match="unit trace"):
+        update_nonselective(sm, omega)
+    with pytest.raises(ValueError, match="unit trace"):
+        update_selective(sm, omega, np.eye(2))
 
 
 def test_selective_product_state_leaves_spacelike_marginals():

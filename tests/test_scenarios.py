@@ -6,9 +6,9 @@ from scipy.linalg import expm
 import causalq.qops as q
 import causalq.scenarios as sc
 from causalq.causal import fig2_preset, rect
-from causalq.errors import (BasisEmpty, NotEffect, OrderSensitivity,
-                            SpaceMismatch, UnknownParameter, UnknownPreset,
-                            ZeroProbability)
+from causalq.errors import (BasisEmpty, NotEffect, NotHermitian,
+                            OrderSensitivity, SpaceMismatch, UnknownParameter,
+                            UnknownPreset, ZeroProbability)
 from causalq.random_ops import random_density, random_hermitian
 
 
@@ -30,7 +30,7 @@ def test_kick_rejects_nonunitary():
 def test_kick_generator_rejects_nonhermitian():
     sp = q.qubit_space("A")
     bad = q.LocalOperator(sp, np.array([[0, 1], [0, 0]], dtype=complex))
-    with pytest.raises(ValueError):
+    with pytest.raises(NotHermitian):
         sc.kick_generator(bad, rect(0, 1, 0, 1), "g")
 
 

@@ -5,10 +5,13 @@ import random
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from causalq.errors import ValidationError
 from causalq.serial import SCHEMA, load_document
+
+from sized_documents import family_document, matrix_document
 
 PRESETS = Path(__file__).resolve().parents[1] / "presets"
 PRESET_DOCS = {p.stem: json.loads(p.read_text()) for p in sorted(PRESETS.glob("*.json"))}
@@ -177,3 +180,61 @@ def test_message_one_of_matched_by_two(tmp_path):
     assert _rejection(tmp_path, doc) == (
         "space: {'qubits': ['A'], 'factors': {'A': 2}} is valid under each of "
         "{'required': ['factors']}, {'required': ['qubits']}")
+
+
+# deep entries of operator_docs-sized number arrays
+
+ENTRY_SWAPS = ["text", True, False, None, [], [0.5, 0.5], {}]
+ROW_SWAPS = ["row", 3, None, {}, [], ["x", 1.0], [[1.0]]]
+
+
+def mutate_entries(doc, rng: random.Random):
+    """Replace one to three entries or rows deep inside the number arrays."""
+    arrays = [(path, node) for path, node in _nodes(doc)
+              if isinstance(node, list) and node and path[-1] in ("state", "matrix", "imag")]
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        path, rows = rng.choice(arrays)
+        i = rng.randrange(len(rows))
+        if isinstance(rows[i], list) and rng.random() < 0.7:
+            rows[i][rng.randrange(len(rows[i]))] = copy.deepcopy(rng.choice(ENTRY_SWAPS))
+        else:
+            rows[i] = copy.deepcopy(rng.choice(ROW_SWAPS))
+    return doc
+
+
+def oracle_first_error(doc):
+    """``path: message`` of the first error jsonschema reports; None if valid."""
+    errors = sorted(ORACLE.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    if not errors:
+        return None
+    where = "/".join(map(str, errors[0].absolute_path)) or "(top level)"
+    return f"{where}: {errors[0].message}"
+
+
+def checker_first_error(doc, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    try:
+        load_document(path)
+    except ValidationError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("make", [matrix_document, family_document],
+                         ids=["matrix_5_qubits", "family_4_qubits"])
+def test_mutated_number_arrays_match_oracle(make, tmp_path):
+    """Deep entries of operator_docs-sized arrays: accept/reject, the first
+    error's path and its message agree with jsonschema."""
+    rng = random.Random(f"arrays-{make.__name__}")
+    base = make(np.random.default_rng(7))
+    assert oracle_first_error(base) is None and checker_first_error(base, tmp_path) is None
+    mismatches, rejected = [], 0
+    for i in range(25):
+        doc = mutate_entries(copy.deepcopy(base), rng)
+        want = oracle_first_error(doc)
+        rejected += want is not None
+        if checker_first_error(doc, tmp_path) != want:
+            mismatches.append((i, want))
+    assert not mismatches
+    assert rejected > 15
