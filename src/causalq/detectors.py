@@ -34,10 +34,10 @@ from .causal import (CellRegion, _ring, cells, classify_configuration, precedes,
                      spacelike)
 from .config import DEFAULT, Tolerances
 from .errors import CausalqError, NotCausallyOrderable, NotSorkinType
-from .field import FieldModel, FockBackend, SmearingFn, _kernel
-from .qops import (LocalOperator, ProductSpace, _embed_matrix, commutator, dag,
-                   expih, is_hermitian, opnorm, select_outcome, sigma_m,
-                   sigma_p)
+from .field import FieldModel, FockBackend, SmearingFn, _two_point
+from .qops import (LocalOperator, ProductSpace, _embed_matrix, check_density,
+                   commutator, dag, expih, is_hermitian, opnorm, select_outcome,
+                   sigma_m, sigma_p)
 
 __all__ = [
     "DetectorSpec", "PerturbativeState", "FactorizationResult", "MatrixPoly",
@@ -162,16 +162,19 @@ class PerturbativeState:
         return sum(self.orders)
 
 
-def _slab(f: FieldModel, prof_l: Mapping[int, float], prof_r: Mapping[int, float],
-          dn: int, modes: Sequence[int] | None, kind: str) -> complex:
-    """a^2 sum F_l(s) F_r(s') K(n, s; n - dn, s') for the vacuum kernel `kind`
-    ("commutator" or "wightman") at step offset dn."""
-    sl = np.array(sorted(prof_l))
-    sr = np.array(sorted(prof_r))
-    wl = np.array([prof_l[s] for s in sl])
-    wr = np.array([prof_r[s] for s in sr])
-    ker = _kernel(f, dn, np.subtract.outer(sl, sr), modes, kind)
-    return complex(f.spacing ** 2 * np.einsum("i,ij,j->", wl, ker, wr))
+def _step_pairs(f: FieldModel, l: DetectorSpec, r: DetectorSpec, kind: str,
+                modes: Sequence[int] | None) -> np.ndarray:
+    """w chi_l(n) chi_r(n') a^2 sum F_l(s) F_r(s') K(n, s; n', s') for the
+    vacuum kernel `kind` ("commutator" or "wightman"), rows over l's steps n
+    and columns over r's steps n', both ascending; the step-order weight w is
+    1 for n > n', 1/2 on the equal-time diagonal and 0 for n < n'."""
+    nl, nr, sl, sr = (np.array(k) for k in (l.steps, r.steps, l.sites, r.sites))
+    ker = _two_point(f, (nl[:, None, None, None], sl[:, None]),
+                     (nr[:, None, None], sr), kind, modes)
+    smeared = f.spacing ** 2 * np.einsum(
+        "k,ijkl,l->ij", [l.smearing[s] for s in sl], ker, [r.smearing[s] for s in sr])
+    chi = np.outer([l.switching[n] for n in nl], [r.switching[n] for n in nr])
+    return (np.sign(np.subtract.outer(nl, nr)) + 1) / 2 * chi * smeared
 
 
 def _mean_moment(rho: np.ndarray, gap: float, t: float) -> float:
@@ -202,23 +205,15 @@ def signal_noise_split(a: DetectorSpec, b: DetectorSpec, f: FieldModel,
     diagonal), and the lambda_A^2 contribution to B's reduced state cancels
     by trace cyclicity.
     """
-    dt = f.dt
+    rho_a = check_density(rho_a, 2, tol, "rho_a")
+    rho_b = check_density(rho_b, 2, tol, "rho_b")
     sig = -1j * commutator(sigma_operator(a, b, f, rho_a, modes), rho_b)
-
-    noise = np.zeros((2, 2), dtype=complex)
-    for n, cb in b.switching.items():
-        mu_n = monopole(b.gap, n * dt)
-        for np_, cb2 in b.switching.items():
-            if n < np_:
-                continue
-            weight = 0.5 if n == np_ else 1.0
-            wf = _slab(f, b.smearing, b.smearing, n - np_, modes, "wightman")
-            mu_p = monopole(b.gap, np_ * dt)
-            noise += -weight * cb * cb2 * (
-                wf * (mu_n @ mu_p @ rho_b - mu_p @ rho_b @ mu_n)
-                + np.conj(wf) * (rho_b @ mu_p @ mu_n - mu_n @ rho_b @ mu_p))
-    noise *= b.coupling ** 2 * dt * dt
-
+    # the conjugate-kernel terms are the adjoint of the kernel terms x
+    c = _step_pairs(f, b, b, "wightman", modes)
+    mus = np.array([monopole(b.gap, n * f.dt) for n in b.steps])
+    x = (np.einsum("ab,aij,bjk->ik", c, mus, mus) @ rho_b
+         - np.einsum("ab,bij,jk,akl->il", c, mus, rho_b, mus))
+    noise = -b.coupling ** 2 * f.dt * f.dt * (x + dag(x))
     zero = np.zeros((2, 2), dtype=complex)
     return PerturbativeState((rho_b.astype(complex), zero, sig + noise),
                              signal=sig, noise=noise, tol=tol)
@@ -235,17 +230,10 @@ def sigma_operator(a: DetectorSpec, b: DetectorSpec, f: FieldModel,
     term of signal_noise_split.
     """
     dt = f.dt
-    out = np.zeros((2, 2), dtype=complex)
-    for n, cb in b.switching.items():
-        acc = 0.0j
-        for np_, ca in a.switching.items():
-            if n < np_:
-                continue
-            weight = 0.5 if n == np_ else 1.0
-            acc += weight * cb * ca * _mean_moment(rho_a, a.gap, np_ * dt) \
-                * _slab(f, b.smearing, a.smearing, n - np_, modes, "commutator")
-        out += (-1j * acc) * monopole(b.gap, n * dt)
-    return a.coupling * b.coupling * dt * dt * out
+    ma = [_mean_moment(rho_a, a.gap, n * dt) for n in a.steps]
+    acc = -1j * _step_pairs(f, b, a, "commutator", modes) @ ma
+    mus = np.array([monopole(b.gap, n * dt) for n in b.steps])
+    return a.coupling * b.coupling * dt * dt * np.einsum("n,nij->ij", acc, mus)
 
 
 # exact and series scattering operators on a truncated Fock backend
@@ -342,11 +330,8 @@ def joint_state(fb: FockBackend, det_states: Sequence[np.ndarray]) -> np.ndarray
 
 def _phi_slice(fb: FockBackend, profile: Mapping[int, float], n: int) -> np.ndarray:
     """a * sum_s F(s) phi(n, s) on the backend space."""
-    coeff = None
-    for s, w in profile.items():
-        c = fb.field.spacing * w * fb.phi_coeffs((n, s))
-        coeff = c if coeff is None else coeff + c
-    return fb._from_coeffs(coeff).matrix
+    cells = {(n, s): w for s, w in profile.items()}
+    return fb._from_coeffs(fb._weighted_coeffs(cells, fb.field.spacing)).matrix
 
 
 def _interaction_generators(dets: Sequence[DetectorSpec], fb: FockBackend,

@@ -1,9 +1,12 @@
 """Free real scalar field on a periodic 1+1D lattice at Courant number one.
 
-Vacuum two-point kernels (Wightman, commutator, retarded Green) come from
-mode sums; smeared bilinears are plain Riemann sums over lattice cells.  A
-truncated-Fock backend provides the same field content as operators for
-non-perturbative checks on a few modes.
+Every vacuum two-point value (Wightman, commutator, retarded Green; pointwise,
+smeared, or on a few modes) comes from one primitive, `_two_point`, which
+reads mode-sum tables cached at construction or, on a mode subset, the inner
+product of the per-mode field coefficients; smeared bilinears are plain
+Riemann sums over lattice cells.  A truncated-Fock backend provides the same
+field content as operators, from the same coefficients, for non-perturbative
+checks on a few modes.
 
 The massless theory is treated in the discrete-time convention matched to the
 dt = a leapfrog update: phase frequencies Omega_k = |k| and normalization
@@ -14,8 +17,10 @@ reproduces it through W(x,x') - W(x',x).  The two modes with vanishing
 normalization frequency (k = 0 and, for even N, the band edge) are kept only
 through their state-independent secular imaginary parts by default; their
 infrared-divergent real parts are dropped (`drop_zero_mode`) or regulated by
-a fixed wavepacket width (`ir_width`).  Massive kernels use the standard
-lattice dispersion; their outside-cone tail is measured, never assumed zero.
+a fixed wavepacket width (`ir_width`); a regulated zero mode enters every
+Wightman value alike: pointwise, smeared, and in the detector noise term.
+Massive kernels use the standard lattice dispersion; their outside-cone tail
+is measured, never assumed zero.
 """
 from __future__ import annotations
 
@@ -132,30 +137,44 @@ class FieldModel:
         return n, s
 
 
-def wightman(f: FieldModel, x: Point, xp: Point) -> complex:
-    """Vacuum W(x, x'); Hermitian under point exchange."""
-    n, s = f._check_point(x)
-    np_, sp_ = f._check_point(xp)
-    dn, ds = n - np_, (s - sp_) % f.sites
-    val = complex(f._wtab[dn + f.steps, ds])
+def _two_point(f: FieldModel, x, y, kind: str,
+               modes: Sequence[int] | None = None) -> np.ndarray:
+    """Vacuum Wightman or commutator between broadcast arrays of absolute
+    points x = (n, s) and y = (n', s'); sites wrap periodically.
+
+    Without `modes` the values come from the cached tables, plus the regulated
+    zero-mode part when it is kept; with `modes` they are the inner product of
+    the per-mode field coefficients over those modes alone.
+    """
+    n, s, m, r = np.broadcast_arrays(*x, *y)
+    if min(n.min(), m.min()) < 0 or max(n.max(), m.max()) > f.steps:
+        raise OutOfWindow(f"steps outside window [0,{f.steps}]")
+    if modes is not None:
+        w = np.sum(_mode_coeffs(f, modes, n, s)
+                   * np.conj(_mode_coeffs(f, modes, m, r)), axis=-1)
+        return w if kind == "wightman" else w - np.conj(w)
+    dn, ds = n - m, (s - r) % f.sites
+    if kind == "commutator":
+        return np.where(dn >= 0, f._ctab[np.abs(dn), ds],
+                        -f._ctab[np.abs(dn), -ds % f.sites])
+    w = f._wtab[dn + f.steps, ds]
     if f.mass == 0 and not f.drop_zero_mode:
         w2 = f.ir_width ** 2
-        tt = (n * f.dt) * (np_ * f.dt)
-        real = w2 + tt / (4 * w2)
-        val += real / f.sites
+        real = w2 + (n * f.dt) * (m * f.dt) / (4 * w2)
+        w = w + real / f.sites
         if f.sites % 2 == 0:
-            val += real * (-1.0) ** (dn + ds) / f.sites
-    return val
+            w = w + real * (-1.0) ** (dn + ds) / f.sites
+    return w
+
+
+def wightman(f: FieldModel, x: Point, xp: Point) -> complex:
+    """Vacuum W(x, x'); Hermitian under point exchange."""
+    return complex(_two_point(f, f._check_point(x), f._check_point(xp), "wightman"))
 
 
 def commutator(f: FieldModel, x: Point, xp: Point) -> complex:
     """Vacuum <[phi(x), phi(x')]>; purely imaginary, exactly antisymmetric."""
-    n, s = f._check_point(x)
-    np_, sp_ = f._check_point(xp)
-    dn, ds = n - np_, s - sp_
-    if dn >= 0:
-        return complex(f._ctab[dn, ds % f.sites])
-    return -complex(f._ctab[-dn, -ds % f.sites])
+    return complex(_two_point(f, f._check_point(x), f._check_point(xp), "commutator"))
 
 
 def retarded_green(f: FieldModel, x: Point, xp: Point) -> complex:
@@ -173,15 +192,10 @@ def retarded_green(f: FieldModel, x: Point, xp: Point) -> complex:
 
 def cone_tail(f: FieldModel) -> float:
     """Largest |commutator| strictly outside the slope-1 cone (periodic)."""
-    n = f.sites
-    ds = np.arange(n)
-    dist = np.minimum(ds, n - ds)
-    worst = 0.0
-    for dn in range(f.steps + 1):
-        out = dist > dn
-        if out.any():
-            worst = max(worst, float(np.abs(f._ctab[dn, out]).max()))
-    return worst
+    dn, ds = np.arange(f.steps + 1)[:, None], np.arange(f.sites)
+    out = np.minimum(ds, f.sites - ds) > dn
+    k = _two_point(f, (dn, ds), (0, 0), "commutator")
+    return float(np.abs(k[out]).max(initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,53 +246,24 @@ def gaussian_smearing(f: FieldModel, center: Point, sigma_t: float,
     return SmearingFn(wts, cells(wts, period=f.sites), tail_mass=1.0 - captured)
 
 
-def _mode_kernel(f: FieldModel, modes: Sequence[int],
-                 dn: np.ndarray, ds: np.ndarray, kind: str) -> np.ndarray:
-    """Mode-restricted Wightman or commutator on arrays of differences."""
-    idx = [_mode_index(f, j) for j in modes]
-    th = f.theta[idx]
-    om = f.phase_freq[idx]
-    nm = f.norm_freq[idx]
+def _mode_coeffs(f: FieldModel, modes: Sequence[int], n, s) -> np.ndarray:
+    """Per-mode coefficients c_j(n, s), with phi(n, s) = sum_j c_j a_j + h.c.,
+    on broadcast arrays of points; the last axis runs over `modes`."""
+    idx = np.asarray(modes) % f.sites
     if not f._regular()[idx].all():
         raise ValueError("mode-restricted kernels exclude degenerate modes")
-    a = f.spacing
-    ph = np.exp(np.multiply.outer(-1j * dn * a, om)
-                + np.multiply.outer(1j * ds, th))
-    w = (ph / (2 * nm * f.sites)).sum(axis=-1)
-    if kind == "wightman":
-        return w
-    ph_r = np.exp(np.multiply.outer(1j * dn * a, om)
-                  + np.multiply.outer(-1j * ds, th))
-    return w - (ph_r / (2 * nm * f.sites)).sum(axis=-1)
-
-
-def _mode_index(f: FieldModel, j: int) -> int:
-    return int(j) % f.sites
-
-
-def _kernel(f: FieldModel, dn, ds: np.ndarray, modes: Sequence[int] | None,
-            kind: str) -> np.ndarray:
-    """Vacuum Wightman or commutator at step offsets dn and site offsets ds,
-    from the cached tables or, with `modes`, from the restricted mode sum."""
-    dn = np.broadcast_to(dn, np.shape(ds))
-    if modes is not None:
-        return _mode_kernel(f, modes, dn, ds, kind)
-    if kind == "wightman":
-        return f._wtab[dn + f.steps, ds % f.sites]
-    return np.where(dn >= 0, f._ctab[np.abs(dn), ds % f.sites],
-                    -f._ctab[np.abs(dn), (-ds) % f.sites])
+    t = np.asarray(n)[..., None] * f.dt
+    s = np.asarray(s)[..., None]
+    return (np.exp(-1j * f.phase_freq[idx] * t + 1j * f.theta[idx] * s)
+            / np.sqrt(2 * f.norm_freq[idx] * f.sites))
 
 
 def _pair_sum(f: FieldModel, sa: SmearingFn, sb: SmearingFn,
               modes: Sequence[int] | None, kind: str) -> complex:
     vol = f.dt * f.spacing
-    pa = list(sa.items())
-    pb = list(sb.items())
-    dn = np.array([[x[0] - y[0] for (y, _) in pb] for (x, _) in pa])
-    ds = np.array([[x[1] - y[1] for (y, _) in pb] for (x, _) in pa])
-    wa = np.array([v for _, v in pa])
-    wb = np.array([v for _, v in pb])
-    ker = _kernel(f, dn, ds, modes, kind)
+    pa, pb = np.array(list(sa.weights)), np.array(list(sb.weights))
+    wa, wb = (np.array(list(sm.weights.values())) for sm in (sa, sb))
+    ker = _two_point(f, (pa[:, None, 0], pa[:, None, 1]), pb.T, kind, modes)
     return complex(vol * vol * np.einsum("i,ij,j->", wa, ker, wb))
 
 
@@ -309,14 +294,14 @@ class FockBackend:
     def __post_init__(self):
         f = self.field
         modes = tuple(int(j) for j in self.modes)
-        if len(set(_mode_index(f, j) for j in modes)) != len(modes):
+        if len(set(j % f.sites for j in modes)) != len(modes):
             raise ValueError("duplicate modes")
         if len(modes) > 3 or self.cutoff > 4:
             raise TruncationTooLarge("at most 3 modes and occupation cutoff 4")
         if len(modes) == 0 or self.cutoff < 1:
             raise ValueError("need at least one mode and cutoff >= 1")
         for j in modes:
-            if not f._regular()[_mode_index(f, j)]:
+            if not f._regular()[j % f.sites]:
                 raise ValueError(f"mode {j} is degenerate; not representable")
         object.__setattr__(self, "modes", modes)
         sp = ProductSpace(tuple((self.mode_label(j), self.cutoff + 1)
@@ -342,21 +327,18 @@ class FockBackend:
 
     def phi_coeffs(self, x: Point) -> np.ndarray:
         """Per-mode coefficient c_j(x) with phi(x) = sum_j c_j a_j + h.c."""
-        f = self.field
-        n, s = f._check_point(x)
-        idx = [_mode_index(f, j) for j in self.modes]
-        th = f.theta[idx]
-        om = f.phase_freq[idx]
-        nm = f.norm_freq[idx]
-        t = n * f.dt
-        return np.exp(-1j * om * t + 1j * th * s) / np.sqrt(2 * nm * f.sites)
+        return _mode_coeffs(self.field, self.modes, *self.field._check_point(x))
 
     def smeared_coeffs(self, sm: SmearingFn) -> np.ndarray:
-        vol = self.field.dt * self.field.spacing
-        out = np.zeros(len(self.modes), dtype=complex)
-        for cell, w in sm.items():
-            out += vol * w * self.phi_coeffs(cell)
-        return out
+        return self._weighted_coeffs(sm.weights, self.field.dt * self.field.spacing)
+
+    def _weighted_coeffs(self, weights: Mapping[Point, float],
+                         scale: float) -> np.ndarray:
+        """scale * sum over cells of weight * c_j(cell), summed in cell order."""
+        f = self.field
+        n, s = np.array([f._check_point(p) for p in weights]).T
+        w = scale * np.array(list(weights.values()))
+        return (w[:, None] * _mode_coeffs(f, self.modes, n, s)).sum(axis=0)
 
     def _from_coeffs(self, coeffs: np.ndarray) -> LocalOperator:
         m = np.zeros((self.space.dim, self.space.dim), dtype=complex)

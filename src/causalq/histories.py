@@ -243,13 +243,10 @@ def decoherence(fam: HistoryFamily, rho0, tol: Tolerances = DEFAULT) -> Decohere
     alphas = tuple(fam.alphas())
     levels = [_heisenberg([p.matrix for p in r.projectors], t, fam.hamiltonian)
               for r, t in zip(fam.resolutions, fam.times)]
-    cs = _chains(levels, fam.space.dim)
+    cs = np.array(_chains(levels, fam.space.dim))
+    # tr(C_i rho C_j^dag) = sum over entries of (C_i rho) * conj(C_j)
     n = len(cs)
-    d = np.empty((n, n), dtype=complex)
-    for i, ci in enumerate(cs):
-        m = ci @ rho
-        for j, cj in enumerate(cs):
-            d[i, j] = np.vdot(cj, m)  # tr(C_i rho C_j^dag)
+    d = np.einsum("ik,jk->ij", (cs @ rho).reshape(n, -1), cs.reshape(n, -1).conj())
     return DecoherenceMatrix(fam, alphas, d, tol)
 
 

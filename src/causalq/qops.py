@@ -17,6 +17,7 @@ Every module builds on one primitive per idea, each working on plain arrays:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -144,29 +145,25 @@ def check_density(m, dim: int, tol: Tolerances, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProductSpace:
-    """Ordered labelled tensor factors."""
+    """Ordered labelled tensor factors; labels, dims and dim are fixed at
+    construction."""
     factors: tuple[tuple[str, int], ...]
+    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        labels = [l for l, _ in self.factors]
+        labels = tuple(l for l, _ in self.factors)
+        dims = tuple(d for _, d in self.factors)
         if len(set(labels)) != len(labels):
             raise ValueError("factor labels must be unique")
-        if any(d < 1 for _, d in self.factors):
+        if any(d < 1 for d in dims):
             raise ValueError("factor dimensions must be positive")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dim", prod(dims))
         if self.dim > MAX_DIM:
             raise TruncationTooLarge(f"total dimension {self.dim} exceeds {MAX_DIM}")
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(l for l, _ in self.factors)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.factors)
-
-    @property
-    def dim(self) -> int:
-        return int(np.prod([d for _, d in self.factors], dtype=np.int64))
 
     def index(self, label: str) -> int:
         for i, (l, _) in enumerate(self.factors):

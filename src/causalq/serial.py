@@ -16,7 +16,7 @@ import json
 import math
 import re
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -436,12 +436,25 @@ def build_field(doc: Mapping) -> FieldModel:
                       sec.get("spacing", 1.0), sec.get("steps"))
 
 
+def _check_steps(f: FieldModel, dets: Sequence[DetectorSpec],
+                 kick_step: int | None = None) -> None:
+    """Refuse switching steps, and a kick step, outside the field window."""
+    named = [(f"detector {d.label!r} switching", n) for d in dets for n in d.steps]
+    if kick_step is not None:
+        named.append(("tripartite kick", kick_step))
+    for what, n in named:
+        if not 0 <= n <= f.steps:
+            raise ValidationError(
+                f"{what} step {n} outside the field window 0..{f.steps}")
+
+
 def build_detector_pair(doc: Mapping) -> tuple[FieldModel, DetectorSpec, DetectorSpec]:
     sec = doc.get("detectors", {})
     if "pair" not in sec:
         raise ValidationError("detectors section has no pair entry")
     f = build_field(doc)
     a, b = (_detector_from(s) for s in sec["pair"])
+    _check_steps(f, (a, b))
     return f, a, b
 
 
@@ -458,6 +471,7 @@ def build_tripartite(doc: Mapping) -> tuple[SmearingFn, DetectorSpec | None,
                          cells([cell], period=f.sites))
     bridge = None if t.get("bridge") is None else _detector_from(t["bridge"])
     receiver = _detector_from(t["receiver"])
+    _check_steps(f, [d for d in (bridge, receiver) if d is not None], t["kick_step"])
     return kick_fn, bridge, receiver, fb, t.get("max_order", 4)
 
 

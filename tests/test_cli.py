@@ -15,8 +15,8 @@ from causalq import __version__, cli as cli_module
 from causalq.cli import main
 from causalq.errors import ParseError, ValidationError
 from causalq.histories import decoherence
-from causalq.serial import (build_family, document_digest, dump_document, fmt17,
-                            load_document)
+from causalq.serial import (build_detector_pair, build_family, build_tripartite,
+                            document_digest, dump_document, fmt17, load_document)
 
 from sized_documents import family_document
 
@@ -230,6 +230,46 @@ def test_check_detector_timelike_pair_fails(tmp_path, capsys):
                      "--suite", "detector", "--out", tmp_path)
     assert rc == 1
     assert "causally connected" in out
+
+
+def _out_of_window_pair():
+    doc = load_document(PRESETS / "detector_pair.json")
+    doc["field"] = {"mass": 0.0, "sites": 8, "steps": 2}
+    doc["detectors"]["pair"][1].update(steps=[6, 6], sites=[4, 5])
+    return doc
+
+
+def _out_of_window_tripartite():
+    doc = load_document(PRESETS / "tripartite_orders.json")
+    doc["field"]["steps"] = 3  # the receiver switches at step 4
+    return doc
+
+
+@pytest.mark.parametrize("make, command, message", [
+    (_out_of_window_pair, ["run"], "detector 'B' switching step 6"),
+    (_out_of_window_pair, ["check", "--suite", "detector"],
+     "detector 'B' switching step 6"),
+    (_out_of_window_tripartite, ["run"], "detector 'B' switching step 4"),
+    (_out_of_window_tripartite, ["sweep"], "detector 'B' switching step 4"),
+], ids=["pair_run", "pair_check", "tripartite_run", "tripartite_sweep"])
+def test_detector_steps_outside_field_window_exit_2(tmp_path, capsys, make,
+                                                    command, message):
+    doc = make()
+    rc, _, err = cli(capsys, command[0], write_doc(tmp_path, doc), *command[1:],
+                     "--out", tmp_path)
+    assert rc == 2
+    assert err.startswith(f"input error: {message} outside the field window 0..")
+    build = build_detector_pair if "pair" in doc["detectors"] else build_tripartite
+    with pytest.raises(ValidationError, match="outside the field window"):
+        build(doc)
+
+
+def test_tripartite_kick_step_outside_field_window_exit_2(tmp_path, capsys):
+    doc = load_document(PRESETS / "tripartite_orders.json")
+    doc["detectors"]["tripartite"]["kick_step"] = 9
+    rc, _, err = cli(capsys, "run", write_doc(tmp_path, doc), "--out", tmp_path)
+    assert rc == 2
+    assert err.startswith("input error: tripartite kick step 9 outside")
 
 
 def test_check_fuksa_bipartite_consistent_family(tmp_path, capsys):
@@ -556,8 +596,9 @@ def test_cli_import_leaves_scipy_unloaded():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
-# the nine README commands with their exit codes; "run" is borsten_qubit
-NINE_COMMANDS = {
+# the commands CI runs with numpy as the only dependency, with their exit
+# codes; "run" is borsten_qubit
+NUMPY_ONLY_COMMANDS = {
     "run": (["run", "borsten_qubit.json"], 0),
     "run_sorkin_qubit_baby": (["run", "sorkin_qubit_baby.json"], 0),
     "run_fuksa_family": (["run", "fuksa_family.json"], 0),
@@ -567,10 +608,13 @@ NINE_COMMANDS = {
     "sweep_tripartite_orders": (["sweep", "tripartite_orders.json"], 0),
     "check_borsten": (["check", "borsten_qubit.json", "--suite", "borsten"], 1),
     "check_fuksa": (["check", "fuksa_family.json", "--suite", "fuksa"], 0),
+    "check_detector_pair": (["check", "detector_pair.json", "--suite", "detector"], 0),
+    "check_bostelmann": (["check", "bostelmann.json", "--suite", "fv"], 0),
 }
 
 
-@pytest.mark.parametrize("argv, want", NINE_COMMANDS.values(), ids=NINE_COMMANDS)
+@pytest.mark.parametrize("argv, want", NUMPY_ONLY_COMMANDS.values(),
+                         ids=NUMPY_ONLY_COMMANDS)
 def test_cli_runs_with_jsonschema_and_scipy_blocked(tmp_path, argv, want):
     src = str(Path(causalq.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}

@@ -15,10 +15,11 @@ from causalq.detectors import (
     kraus_operators, kraus_series, monopole, nonselective_forms,
     point_detector, power_fit_slope, scattering_operator, scattering_series,
     sigma_operator, signal_noise_split, trace_norm, tripartite_order_count,
-    _mean_moment, _slab)
-from causalq.errors import (CausalqError, NotCausallyOrderable, NotSorkinType,
-                            ZeroProbability)
-from causalq.field import FieldModel, SmearingFn, fock_backend
+    _mean_moment)
+from causalq.errors import (CausalqError, NotCausallyOrderable, NotHermitian,
+                            NotSorkinType, OutOfWindow, ZeroProbability)
+from causalq.field import (FieldModel, SmearingFn, fock_backend, smeared_commutator,
+                           smeared_wightman)
 from causalq import qops
 from causalq.qops import dag, opnorm, sigma_x, sigma_y
 from causalq.serial import build_tripartite, load_document
@@ -134,8 +135,15 @@ def test_sigma_reproduces_signal_everywhere():
         assert trace_norm(com - ps.signal) < 1e-12, p["tag"]
 
 
+def _slice(f, d, n):
+    """Detector d's spatial smearing on step n as a field smearing."""
+    w = {(n, s): v for s, v in d.smearing.items()}
+    return SmearingFn(w, cells(w, period=f.sites))
+
+
 def _signal_double_loop(a, b, f, rho_a, rho_b, modes=None):
-    """Signal term summed directly as -lA lB dt^2 sum w chiB chiA mA K [muB, rhoB]."""
+    """Signal term summed directly as -lA lB dt^2 sum w chiB chiA mA K [muB, rhoB],
+    with K the smeared commutator between the two detectors' step slices."""
     dt = f.dt
     sig = np.zeros((2, 2), dtype=complex)
     for n, cb in b.switching.items():
@@ -146,7 +154,8 @@ def _signal_double_loop(a, b, f, rho_a, rho_b, modes=None):
                 continue
             weight = 0.5 if n == np_ else 1.0
             acc += weight * cb * ca * _mean_moment(rho_a, a.gap, np_ * dt) \
-                * _slab(f, b.smearing, a.smearing, n - np_, modes, "commutator")
+                * smeared_commutator(f, _slice(f, b, n), _slice(f, a, np_),
+                                     modes) / (dt * dt)
         sig += acc * com_mu
     return sig * (-a.coupling * b.coupling * dt * dt)
 
@@ -162,6 +171,65 @@ def test_signal_matches_double_loop_reference():
     ref = _signal_double_loop(a, b, F12, PLUS, GROUND, modes=[3, -3])
     assert trace_norm(ps.signal - ref) < 1e-12
     assert trace_norm(ref) > 1e-4
+
+
+def _noise_double_loop(b, f, rho_b, modes=None):
+    """Noise term summed pair by pair with W the smeared Wightman function
+    between B's step slices:
+    -lB^2 dt^2 sum_{n >= n'} w chiB chiB' (W (mu mu' rho - mu' rho mu)
+                                          + W* (rho mu' mu - mu rho mu'))."""
+    dt = f.dt
+    noise = np.zeros((2, 2), dtype=complex)
+    for n, cb in b.switching.items():
+        mu_n = monopole(b.gap, n * dt)
+        for np_, cb2 in b.switching.items():
+            if n < np_:
+                continue
+            weight = 0.5 if n == np_ else 1.0
+            wf = smeared_wightman(f, _slice(f, b, n), _slice(f, b, np_),
+                                  modes) / (dt * dt)
+            mu_p = monopole(b.gap, np_ * dt)
+            noise += -weight * cb * cb2 * (
+                wf * (mu_n @ mu_p @ rho_b - mu_p @ rho_b @ mu_n)
+                + np.conj(wf) * (rho_b @ mu_p @ mu_n - mu_n @ rho_b @ mu_p))
+    return noise * b.coupling ** 2 * dt * dt
+
+
+def test_noise_matches_double_loop_reference():
+    a = DetectorSpec("A", 0.8, 0.3, {1: 1.0, 2: 0.7}, {0: 1.0, 1: 0.6})
+    b = DetectorSpec("B", 0.6, 0.3, {2: 0.9, 3: 1.0, 5: 0.4}, {5: 1.0, 6: 0.5})
+    mixed = np.array([[0.3, 0.35], [0.35, 0.7]], dtype=complex)
+    kept = FieldModel(0.0, 16, steps=8, drop_zero_mode=False)
+    cases = [(p["a"], p["b"], F64, p["rho_b"], None) for p in bipartite_presets(F64)]
+    cases += [(a, b, F12, mixed, [3, -3]), (a, b, kept, mixed, None)]
+    for a_, b_, f, rho_b, modes in cases:
+        ps = signal_noise_split(a_, b_, f, PLUS, rho_b, modes=modes)
+        ref = _noise_double_loop(b_, f, rho_b, modes)
+        assert trace_norm(ref) > 1e-6
+        assert trace_norm(ps.noise - ref) < 1e-12
+    # the regulated zero mode enters the noise term
+    dropped = signal_noise_split(a, b, FieldModel(0.0, 16, steps=8), PLUS, mixed)
+    kept_split = signal_noise_split(a, b, kept, PLUS, mixed)
+    assert trace_norm(kept_split.noise - dropped.noise) > 1e-3
+    assert trace_norm(kept_split.signal - dropped.signal) < 1e-12
+
+
+def test_split_refuses_invalid_detector_states():
+    p = bipartite_presets(F64)[0]
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        signal_noise_split(p["a"], p["b"], F64, p["rho_a"], np.diag([1.2, -0.2]))
+    with pytest.raises(NotHermitian):
+        signal_noise_split(p["a"], p["b"], F64, np.array([[0.5, 0.9], [0.1, 0.5]]),
+                           p["rho_b"])
+
+
+def test_split_refuses_steps_outside_window():
+    f = FieldModel(0.0, 8, steps=2)
+    a = detector("A", 0.8, 0.5, 0, 1, 0, 1)
+    b = detector("B", 0.6, 0.4, 6, 6, 4, 5)
+    for modes in (None, [2, -2]):
+        with pytest.raises(OutOfWindow):
+            signal_noise_split(a, b, f, PLUS, GROUND, modes=modes)
 
 
 def test_detector_tolerances_are_read():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from causalq import field as F
+from causalq.causal import cells
 from causalq import qops as q
 from causalq.errors import OutOfWindow, TruncationTooLarge
 
@@ -137,6 +138,29 @@ def test_ir_regulated_wightman_finite_and_consistent():
     # regulated real parts cancel in the exchange difference
     lhs = F.wightman(f, x, y) - F.wightman(f, y, x)
     assert abs(lhs - F.commutator(fd, x, y)) < 1e-13
+
+
+def test_smeared_wightman_keeps_regulated_zero_mode():
+    """Smeared and pointwise Wightman values carry the same zero-mode part."""
+    f = F.FieldModel(0.0, 16, steps=8, drop_zero_mode=False)
+    sa = F.box_smearing(f, 1, 2, 3, 4)
+    sb = F.box_smearing(f, 3, 4, 6, 7)
+    vol = f.dt * f.spacing
+    pointwise = sum(vol * vol * wa * wb * F.wightman(f, x, y)
+                    for x, wa in sa.items() for y, wb in sb.items())
+    assert abs(F.smeared_wightman(f, sa, sb) - pointwise) < 1e-12
+    dropped = F.FieldModel(0.0, 16, steps=8)
+    assert abs(F.smeared_wightman(dropped, sa, sb) - pointwise) > 1.0
+
+
+def test_smeared_kernels_refuse_steps_outside_window(f0):
+    inside = F.box_smearing(f0, 0, 1, 2, 3)
+    late = F.SmearingFn({(70, 2): 1.0}, cells([(70, 2)], period=64))
+    for kernel in (F.smeared_commutator, F.smeared_wightman):
+        with pytest.raises(OutOfWindow):
+            kernel(f0, inside, late)
+        with pytest.raises(OutOfWindow):
+            kernel(f0, late, inside, modes=[2, -2])
 
 
 def test_smeared_commutator_spacelike_boxes_zero(f0):

@@ -204,6 +204,26 @@ def test_decoherence_matches_direct_products(with_h):
             assert np.abs(got - want).max() <= 1e-12
 
 
+def test_decoherence_matches_entrywise_loop():
+    """The one matrix product against the entry-by-entry trace it replaced."""
+    rng = np.random.default_rng(31)
+    sp = qubit_space("A", "B", "C")
+    for n_steps, with_h in ((2, False), (3, True), (4, False)):
+        steps = tuple(random_resolution(sp, int(rng.integers(2, 5)), rng)
+                      for _ in range(n_steps))
+        times = tuple(np.sort(rng.uniform(0.0, 2.0, n_steps)))
+        h = random_hermitian(8, rng) if with_h else None
+        fam = HistoryFamily(steps, times, hamiltonian=h)
+        rho = random_density(8, rng)
+        levels = [hist._heisenberg([p.matrix for p in r.projectors], t, h)
+                  for r, t in zip(fam.resolutions, fam.times)]
+        cs = hist._chains(levels, 8)
+        want = np.array([[np.vdot(cj, ci @ rho) for cj in cs] for ci in cs])
+        got = decoherence(fam, rho).matrix
+        assert got.shape == (len(cs), len(cs))
+        assert np.abs(got - want).max() <= 1e-12
+
+
 def test_decoherence_exponentiates_once_per_step(monkeypatch):
     calls = []
     expih = hist.expih

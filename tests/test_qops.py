@@ -24,6 +24,17 @@ def test_space_validation():
         q.space(("big", 2 ** 15))
 
 
+def test_space_shape_fixed_at_construction():
+    sp = q.space(("A", 2), ("B", 3), ("C", 4))
+    assert {"labels", "dims", "dim"} <= vars(sp).keys()  # stored, not recomputed
+    assert (sp.labels, sp.dims, sp.dim) == (("A", "B", "C"), (2, 3, 4), 24)
+    assert sp == q.space(("A", 2), ("B", 3), ("C", 4))
+    assert repr(sp) == "ProductSpace(factors=(('A', 2), ('B', 3), ('C', 4)))"
+    # 2**64 must not wrap around to a dimension that passes the cap
+    with pytest.raises(TruncationTooLarge):
+        q.qubit_space(*(f"q{i}" for i in range(64)))
+
+
 def test_embed_sigma_x_first_factor():
     op = q.embed(q.sigma_x, "A", AB)
     assert np.allclose(op.matrix, np.kron(q.sigma_x, np.eye(2)))
