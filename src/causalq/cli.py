@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -130,12 +130,6 @@ def _payload(doc: dict) -> str:
     raise ValidationError("document has no payload section")
 
 
-def _map_grid(point, grid, threads: int) -> list[dict]:
-    """One row per grid value, in grid order."""
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(point, grid))
-
-
 # -- handlers, each called as handler(doc, tol, rep, args) --------------------
 
 def _exec_operations(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
@@ -144,8 +138,8 @@ def _exec_operations(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
         rep.results.update(run_scenario(s, {}))
         return
     param, grid = s.sweep
-    rep.rows = _map_grid(lambda v: {param: v, **run_scenario(s, {param: v})},
-                         grid, args.threads)
+    with ThreadPoolExecutor(max_workers=args.threads) as ex:  # rows in grid order
+        rep.rows = list(ex.map(lambda v: {param: v, **run_scenario(s, {param: v})}, grid))
     for col in list(rep.rows[0])[1:]:
         vals = [r[col] for r in rep.rows]
         rep.results[f"delta_max.{col}"] = max(abs(v - vals[0]) for v in vals)
@@ -210,15 +204,15 @@ def _exec_pair(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
                                   f"coupling regions {geo}"))
 
 
-def _orders(kick_fn, bridge, receiver, fb, max_order) -> dict[str, float]:
+def _orders(kick_fn, bridge, receiver, fb, max_order, tol) -> dict[str, float]:
     orders = tripartite_order_count(kick_fn, bridge, receiver, fb, sigma_x,
                                     None if bridge is None else _GROUND,
-                                    _GROUND, max_order)
+                                    _GROUND, max_order, tol=tol)
     return {f"order{k}": float(v) for k, v in sorted(orders.items())}
 
 
 def _exec_tripartite(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
-    rep.results.update(_orders(*build_tripartite(doc)))
+    rep.results.update(_orders(*build_tripartite(doc), tol))
     if "sweep" in doc:
         rep.checks.append(CheckResult(
             "sweep.skipped", None,
@@ -232,10 +226,12 @@ def _sweep_tripartite(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
     kick_fn, bridge, receiver, fb, max_order = build_tripartite(doc)
     if bridge is None:
         raise UnknownParameter("no bridge detector whose coupling could be swept")
-    rep.rows = _map_grid(
-        lambda v: {"coupling": v, **_orders(kick_fn, replace(bridge, coupling=v),
-                                            receiver, fb, max_order)},
-        grid_values(doc["sweep"]), args.threads)
+    grid = grid_values(doc["sweep"])
+    # the couplings are formal series variables, so one table serves every row
+    table = _orders(kick_fn, bridge, receiver, fb, max_order, tol)
+    rep.rows = [{"coupling": v, **table} for v in grid]
+    rep.checks.append(CheckResult("sweep.coupling_free", None, note=(
+        "couplings are formal series variables; every row has the same table")))
 
 
 def _check_borsten(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:

@@ -18,10 +18,10 @@ Three layers of machinery share this interaction:
 * measurement-update rules: selecting a detector outcome after switch-off,
   the equivalent Kraus form on the field factor, and the non-selective sum.
 
-The series bookkeeping is what makes order counting possible: a local kick
-inserted before two detector couplings is expanded jointly in (kick, A, B)
-powers and the kick-dependent coefficients of a B observable are reported
-order by order.
+Order counting rides on that series: a local kick before two detector
+couplings is expanded jointly in (kick, A, B) powers, applied to the few
+columns W of rho0 = W W^dag rather than to density matrices, and the
+kick-dependent coefficients of a B observable are reported order by order.
 """
 from __future__ import annotations
 
@@ -260,30 +260,24 @@ class MatrixPoly:
     def exp_linear(cls, gens: Sequence[tuple[int, np.ndarray]], nvars: int,
                    degree: int) -> "MatrixPoly":
         """Truncated series of exp(sum_v lambda_v G_v)."""
-        dim = gens[0][1].shape[0]
-        x = cls(nvars, dim, degree)
-        for v, g in gens:
-            e = tuple(1 if i == v else 0 for i in range(nvars))
-            x.terms[e] = x.terms.get(e, np.zeros((dim, dim), complex)) + g
-        out = cls.constant(np.eye(dim), nvars, degree)
-        power = cls.constant(np.eye(dim), nvars, degree)
-        fact = 1.0
-        for k in range(1, degree + 1):
-            power = power @ x
-            if not power.terms:
-                break
-            fact *= k
-            out = out + power.scale(1.0 / fact)
-        return out
+        return cls.constant(np.eye(gens[0][1].shape[0]), nvars, degree).exp_apply(gens)
 
-    def scale(self, c: complex) -> "MatrixPoly":
-        return MatrixPoly(self.nvars, self.dim, self.degree,
-                          {e: c * m for e, m in self.terms.items()})
-
-    def __add__(self, other: "MatrixPoly") -> "MatrixPoly":
-        out = dict(self.terms)
-        for e, m in other.terms.items():
-            out[e] = out[e] + m if e in out else m
+    def exp_apply(self, gens: Sequence[tuple[int, np.ndarray]]) -> "MatrixPoly":
+        """Truncated exp(sum_v lambda_v G_v) @ self, summed as x <- G x / k, so
+        a series of d x r columns costs one d x d x r product per term."""
+        out, x = dict(self.terms), self.terms
+        for k in range(1, self.degree + 1):
+            nxt: dict[tuple[int, ...], np.ndarray] = {}
+            for e, m in x.items():
+                if sum(e) == self.degree:
+                    continue
+                for v, g in gens:
+                    e2 = e[:v] + (e[v] + 1,) + e[v + 1:]
+                    prod = g @ m / k
+                    nxt[e2] = nxt[e2] + prod if e2 in nxt else prod
+            x = nxt
+            for e, m in x.items():
+                out[e] = out[e] + m if e in out else m
         return MatrixPoly(self.nvars, self.dim, self.degree, out)
 
     def __matmul__(self, other: "MatrixPoly") -> "MatrixPoly":
@@ -301,9 +295,6 @@ class MatrixPoly:
     def dagger(self) -> "MatrixPoly":
         return MatrixPoly(self.nvars, self.dim, self.degree,
                           {e: dag(m) for e, m in self.terms.items()})
-
-    def coefficient(self, expo: tuple[int, ...]) -> np.ndarray:
-        return self.terms.get(tuple(expo), np.zeros((self.dim, self.dim), complex))
 
     def evaluate(self, values: Sequence[float]) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex)
@@ -371,7 +362,7 @@ def scattering_series(dets: Sequence[DetectorSpec], fb: FockBackend,
     nv = len(dets)
     out = MatrixPoly.constant(np.eye(sp.dim), nv, order)
     for n in sorted(by_step):
-        out = MatrixPoly.exp_linear(by_step[n], nv, order) @ out
+        out = out.exp_apply(by_step[n])
     return out
 
 
@@ -409,17 +400,23 @@ def tripartite_order_count(kick: SmearingFn, a: DetectorSpec | None,
                            rho_a: np.ndarray | None, rho_b: np.ndarray,
                            max_order: int = 4,
                            regions: tuple[CellRegion, CellRegion, CellRegion] | None = None,
-                           ) -> dict[int, float]:
+                           tol: Tolerances = DEFAULT) -> dict[int, float]:
     """Kick-dependent coefficients of <D_B>, order by order in (kick, A, B).
 
     The kick exp(i g phi(K)) is inserted before the detector couplings in step
     order; the final B expectation is expanded jointly to max_order total
     coupling powers and, per total order, the largest coefficient magnitude
-    carrying at least one kick power is reported.  The region triple (by
+    carrying at least one kick power is reported; the couplings are formal
+    variables and are not read.  The region triple (by
     default the exact supports, or explicit enclosing regions so a pointlike
     probe can stand in for an extended one) must classify as kick / bridge /
     receiver in the Sorkin sense, with kick and receiver spacelike.  Passing
     a=None removes the bridge detector entirely, the zero-coupling control.
+
+    No density matrix series is formed: rho0 = W W^dag with W = sqrt(rho_A)
+    (x) sqrt(rho_B) (x) |vac> of at most four columns, whose series U W goes
+    through the kick and every step by `MatrixPoly.exp_apply`; the coefficient
+    at exponent e is c_e = sum_{e1+e2=e} tr((U_e2 W)^dag D_B U_e1 W).
     """
     f = fb.field
     if a is not None:
@@ -435,29 +432,26 @@ def tripartite_order_count(kick: SmearingFn, a: DetectorSpec | None,
             raise NotSorkinType(f"region triple classifies as {cls}")
     kick_step = max(n for n, _ in kick.weights)
     dets = [b] if a is None else [a, b]
-    offset = 2 if a is None else 1
+    named = {"rho_b": rho_b} if a is None else {"rho_a": rho_a, "rho_b": rho_b}
+    w = fb.vacuum[:, None]
+    for what, rho in reversed(named.items()):
+        ev, u = np.linalg.eigh(check_density(rho, 2, tol, what))
+        w = np.kron(u[:, ev > 0] * np.sqrt(ev[ev > 0]), w)  # W W^dag = rho
     sp = joint_space(fb, dets)
     gen_k = _embed_matrix(fb.phi_smeared(kick).matrix, fb.space.labels, sp)
     by_step = _interaction_generators(dets, fb, sp)
-    nv = 3
-    shifted = {n: [(v + offset, g) for v, g in gens] for n, gens in by_step.items()}
-    out = MatrixPoly.exp_linear([(0, 1j * gen_k)], nv, max_order)
-    for n in sorted(shifted):
+    # series variables 0, 1, 2 are the kick, A and B couplings
+    cols = MatrixPoly.constant(w, 3, max_order).exp_apply([(0, 1j * gen_k)])
+    for n in sorted(by_step):
         if n <= kick_step:
             raise ValueError("detector switchings must follow the kick step")
-        out = MatrixPoly.exp_linear(shifted[n], nv, max_order) @ out
-    states = [rho_b] if a is None else [rho_a, rho_b]
-    rho0 = MatrixPoly.constant(joint_state(fb, states), nv, max_order)
-    rho = out @ rho0 @ out.dagger()
-    db = _embed_matrix(np.asarray(d_b, dtype=complex), [b.label], sp)
+        cols = cols.exp_apply([(v + 3 - len(dets), g) for v, g in by_step[n]])
+    db = MatrixPoly.constant(
+        _embed_matrix(np.asarray(d_b, dtype=complex), [b.label], sp), 3, max_order)
     report: dict[int, float] = {k: 0.0 for k in range(1, max_order + 1)}
-    for e, m in rho.terms.items():
-        if e[0] == 0:
-            continue
-        o = sum(e)
-        if 1 <= o <= max_order:
-            val = abs(complex(np.trace(db @ m)))
-            report[o] = max(report[o], val)
+    for e, m in (cols.dagger() @ (db @ cols)).terms.items():
+        if e[0]:  # the product keeps total orders up to max_order
+            report[sum(e)] = max(report[sum(e)], abs(complex(np.trace(m))))
     return report
 
 

@@ -436,16 +436,20 @@ def build_field(doc: Mapping) -> FieldModel:
                       sec.get("spacing", 1.0), sec.get("steps"))
 
 
-def _check_steps(f: FieldModel, dets: Sequence[DetectorSpec],
-                 kick_step: int | None = None) -> None:
-    """Refuse switching steps, and a kick step, outside the field window."""
-    named = [(f"detector {d.label!r} switching", n) for d in dets for n in d.steps]
-    if kick_step is not None:
-        named.append(("tripartite kick", kick_step))
-    for what, n in named:
-        if not 0 <= n <= f.steps:
-            raise ValidationError(
-                f"{what} step {n} outside the field window 0..{f.steps}")
+def _check_window(f: FieldModel, dets: Sequence[DetectorSpec],
+                  kick: tuple[int, int] | None = None) -> None:
+    """Refuse switching steps outside the field window; with a tripartite kick
+    cell also the kick and every smearing site, which Fock backends do not wrap."""
+    named = [(f"detector {d.label!r} switching step", n, f.steps)
+             for d in dets for n in d.steps]
+    if kick is not None:
+        named += [("tripartite kick step", kick[0], f.steps),
+                  ("tripartite kick site", kick[1], f.sites - 1)]
+        named += [(f"detector {d.label!r} smearing site", s, f.sites - 1)
+                  for d in dets for s in d.sites]
+    for what, k, hi in named:
+        if not 0 <= k <= hi:
+            raise ValidationError(f"{what} {k} outside the field window 0..{hi}")
 
 
 def build_detector_pair(doc: Mapping) -> tuple[FieldModel, DetectorSpec, DetectorSpec]:
@@ -454,7 +458,7 @@ def build_detector_pair(doc: Mapping) -> tuple[FieldModel, DetectorSpec, Detecto
         raise ValidationError("detectors section has no pair entry")
     f = build_field(doc)
     a, b = (_detector_from(s) for s in sec["pair"])
-    _check_steps(f, (a, b))
+    _check_window(f, (a, b))
     return f, a, b
 
 
@@ -471,7 +475,13 @@ def build_tripartite(doc: Mapping) -> tuple[SmearingFn, DetectorSpec | None,
                          cells([cell], period=f.sites))
     bridge = None if t.get("bridge") is None else _detector_from(t["bridge"])
     receiver = _detector_from(t["receiver"])
-    _check_steps(f, [d for d in (bridge, receiver) if d is not None], t["kick_step"])
+    dets = [d for d in (bridge, receiver) if d is not None]
+    _check_window(f, dets, cell)
+    if min(n for d in dets for n in d.steps) <= cell[0]:
+        raise ValidationError(f"detector switchings must follow the kick step {cell[0]}")
+    labels = [d.label for d in dets] + list(fb.space.labels)
+    if len(set(labels)) != len(labels):
+        raise ValidationError(f"detector and mode labels must be distinct: {labels}")
     return kick_fn, bridge, receiver, fb, t.get("max_order", 4)
 
 

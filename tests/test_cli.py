@@ -13,8 +13,10 @@ import pytest
 import causalq
 from causalq import __version__, cli as cli_module
 from causalq.cli import main
+from causalq.detectors import tripartite_order_count
 from causalq.errors import ParseError, ValidationError
 from causalq.histories import decoherence
+from causalq.qops import sigma_x
 from causalq.serial import (build_detector_pair, build_family, build_tripartite,
                             document_digest, dump_document, fmt17, load_document)
 
@@ -272,6 +274,39 @@ def test_tripartite_kick_step_outside_field_window_exit_2(tmp_path, capsys):
     assert err.startswith("input error: tripartite kick step 9 outside")
 
 
+# edits of the tripartite preset that its Fock backend cannot represent, with
+# the input error each must give from serial.build_tripartite
+TRIPARTITE_INPUT_ERRORS = {
+    "kick_at_switching": ({"kick_step": 2},
+                          "detector switchings must follow the kick step 2"),
+    "receiver_site_outside": ({"receiver": {"smearing": {"18": 1.0}}},
+                              "detector 'B' smearing site 18 outside the field "
+                              "window 0..11"),
+    "bridge_site_outside": ({"bridge": {"smearing": {"-1": 1.0}}},
+                            "detector 'A' smearing site -1 outside the field "
+                            "window 0..11"),
+    "receiver_label_of_bridge": ({"receiver": {"label": "A"}},
+                                 "detector and mode labels must be distinct"),
+    "receiver_label_of_mode": ({"receiver": {"label": "m3"}},
+                               "detector and mode labels must be distinct"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("edit, message", TRIPARTITE_INPUT_ERRORS.values(),
+                         ids=TRIPARTITE_INPUT_ERRORS)
+def test_tripartite_input_errors_exit_2(tmp_path, capsys, command, edit, message):
+    doc = load_document(PRESETS / "tripartite_orders.json")
+    t = doc["detectors"]["tripartite"]
+    for key, value in edit.items():
+        t[key] = {**t[key], **value} if isinstance(value, dict) else value
+    rc, _, err = cli(capsys, command, write_doc(tmp_path, doc), "--out", tmp_path)
+    assert rc == 2
+    assert err.startswith(f"input error: {message}")
+    with pytest.raises(ValidationError, match=message):
+        build_tripartite(doc)
+
+
 def test_check_fuksa_bipartite_consistent_family(tmp_path, capsys):
     rc, out, _ = cli(capsys, "check", PRESETS / "fuksa_family.json",
                      "--suite", "fuksa", "--out", tmp_path)
@@ -440,6 +475,41 @@ def test_sweep_tripartite_order_table(tmp_path, capsys):
         for k in ("order1", "order2", "order3"):
             assert r[k] < 1e-9
         assert r["order4"] > 1e-6
+
+
+def test_sweep_tripartite_reports_coupling_free_table(tmp_path, capsys):
+    rc, out, _ = cli(capsys, "sweep", PRESETS / "tripartite_orders.json",
+                     "--out", tmp_path)
+    assert rc == 0
+    assert "[info] sweep.coupling_free (couplings are formal series variables" in out
+    rep = read_report(tmp_path, "tripartite_orders")
+    assert rep["passed"] is True
+    assert [c["name"] for c in rep["checks"]] == ["sweep.coupling_free"]
+    assert rep["checks"][0]["passed"] is None
+
+
+@pytest.mark.parametrize("grid", ["0.5", "0,0.5,1", "0.1:2:7"])
+def test_sweep_tripartite_computes_one_table(tmp_path, capsys, monkeypatch, grid):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return tripartite_order_count(*args, **kwargs)
+    monkeypatch.setattr("causalq.cli.tripartite_order_count", counted)
+    doc = load_document(PRESETS / "tripartite_orders.json")
+    path = write_doc(tmp_path, {**doc, "tolerances": {"tol.positivity": 0.25}})
+    rc, _, _ = cli(capsys, "sweep", path, "--param", "coupling", "--grid", grid,
+                   "--out", tmp_path, "--format", "json")
+    assert rc == 0
+    assert len(calls) == 1
+    assert calls[0]["tol"].positivity == 0.25  # the document's tolerances
+    kick, bridge, receiver, fb, max_order = build_tripartite(doc)
+    ground = np.diag([0.0, 1.0]).astype(complex)
+    table = {f"order{k}": v for k, v in tripartite_order_count(
+        kick, bridge, receiver, fb, sigma_x, ground, ground, max_order).items()}
+    rows = json.loads((tmp_path / "doc.data.json").read_text())
+    assert [r.pop("coupling") for r in rows] == list(cli_module._parse_grid(grid))
+    assert rows == [table] * len(rows)
 
 
 def test_sweep_threads_agree(tmp_path, capsys):

@@ -15,13 +15,14 @@ from causalq.detectors import (
     kraus_operators, kraus_series, monopole, nonselective_forms,
     point_detector, power_fit_slope, scattering_operator, scattering_series,
     sigma_operator, signal_noise_split, trace_norm, tripartite_order_count,
-    _mean_moment)
+    _interaction_generators, _mean_moment)
 from causalq.errors import (CausalqError, NotCausallyOrderable, NotHermitian,
                             NotSorkinType, OutOfWindow, ZeroProbability)
 from causalq.field import (FieldModel, SmearingFn, fock_backend, smeared_commutator,
                            smeared_wightman)
 from causalq import qops
 from causalq.qops import dag, opnorm, sigma_x, sigma_y
+from causalq.random_ops import random_density
 from causalq.serial import build_tripartite, load_document
 
 F12 = FieldModel(0.0, 12, steps=8)
@@ -385,6 +386,113 @@ def test_tripartite_rejects_detector_before_kick():
     with pytest.raises(ValueError):
         tripartite_order_count(KICK, early, RECEIVER, FB12, sigma_x,
                                GROUND, GROUND, 4)
+
+
+def _power_exp(gens, degree):
+    """sum_k X^k / k! for X = sum_v lambda_v G_v, formed with MatrixPoly
+    products only (independent of MatrixPoly.exp_apply)."""
+    dim = gens[0][1].shape[0]
+    x = MatrixPoly(3, dim, degree)
+    for v, g in gens:
+        e = tuple(int(i == v) for i in range(3))
+        x.terms[e] = x.terms.get(e, 0) + g
+    power = MatrixPoly.constant(np.eye(dim), 3, degree)
+    terms, fact = dict(power.terms), 1.0
+    for k in range(1, degree + 1):
+        power, fact = power @ x, fact * k
+        for e, m in power.terms.items():
+            terms[e] = terms[e] + m / fact if e in terms else m / fact
+    return MatrixPoly(3, dim, degree, terms)
+
+
+def _dense_order_count(kick, a, b, fb, d_b, rho_a, rho_b, max_order):
+    """The d x d oracle: rho = out @ rho0 @ out^dag as a density matrix
+    series, then tr(D_B rho_e) for every exponent with a kick power."""
+    dets = [b] if a is None else [a, b]
+    offset = 2 if a is None else 1
+    sp = joint_space(fb, dets)
+    gen_k = qops._embed_matrix(fb.phi_smeared(kick).matrix, fb.space.labels, sp)
+    out = _power_exp([(0, 1j * gen_k)], max_order)
+    for _, gens in sorted(_interaction_generators(dets, fb, sp).items()):
+        out = _power_exp([(v + offset, g) for v, g in gens], max_order) @ out
+    states = [rho_b] if a is None else [rho_a, rho_b]
+    rho0 = MatrixPoly.constant(joint_state(fb, states), 3, max_order)
+    rho = out @ rho0 @ out.dagger()
+    db = qops._embed_matrix(np.asarray(d_b, dtype=complex), [b.label], sp)
+    report = {k: 0.0 for k in range(1, max_order + 1)}
+    for e, m in rho.terms.items():
+        if e[0]:
+            report[sum(e)] = max(report[sum(e)], abs(np.trace(db @ m)))
+    return report
+
+
+def _tripartite_cases():
+    # three modes break microcausality at small cutoffs, so every order table
+    # has nonzero entries to compare (on FB12 orders below 4 vanish)
+    rng = np.random.default_rng(2108)
+    backends = [fock_backend(F12, [3, -3, 5], c) for c in (1, 2, 3)]
+    hermitian = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    observables = [sigma_x, sigma_y, hermitian + dag(hermitian)]
+    cases = []
+    for k, order in enumerate([2, 3, 4, 5, 6, 4, 3, 5]):
+        g = float(rng.uniform(0.5, 1.5))
+        kick = SmearingFn({(0, 0): g}, cells([(0, 0)], period=12))
+        bridge = None if k % 3 == 2 else BRIDGE
+        rho_a = None if bridge is None else random_density(2, rng, rank=1 + k % 2)
+        cases.append((kick, bridge, backends[order < 5], observables[k % 3], rho_a,
+                      random_density(2, rng), order))
+    cases.append((KICK, BRIDGE, backends[2], sigma_x, random_density(2, rng),
+                  random_density(2, rng), 4))  # d = 256
+    return cases
+
+
+@pytest.mark.parametrize("kick, bridge, fb, d_b, rho_a, rho_b, order",
+                         _tripartite_cases())
+def test_tripartite_columns_match_dense_oracle(kick, bridge, fb, d_b, rho_a,
+                                               rho_b, order):
+    got = tripartite_order_count(kick, bridge, RECEIVER, fb, d_b, rho_a, rho_b,
+                                 order)
+    want = _dense_order_count(kick, bridge, RECEIVER, fb, d_b, rho_a, rho_b, order)
+    assert set(got) == set(want) == set(range(1, order + 1))
+    assert max(abs(got[k] - want[k]) for k in got) <= 1e-12
+    assert max(want.values()) > 1e-3  # the comparison is not between zeros
+
+
+def test_tripartite_forms_no_density_series(monkeypatch):
+    # every series product has a side of at most four columns: W's
+    widths = []
+    matmul = MatrixPoly.__matmul__
+
+    def recorded(self, other):
+        widths.append(min(max(m.shape[1] for m in p.terms.values())
+                          for p in (self, other)))
+        return matmul(self, other)
+    monkeypatch.setattr(MatrixPoly, "__matmul__", recorded)
+    tripartite_order_count(KICK, BRIDGE, RECEIVER, FB12, sigma_x, PLUS, PLUS, 4)
+    assert widths and max(widths) <= 4
+
+
+def test_matrix_poly_exp_apply_matches_exp_linear_product():
+    rng = np.random.default_rng(7)
+    gens = [(v, rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+            for v in (0, 2, 2)]
+    cols = MatrixPoly(3, 6, 4, {(0, 0, 0): rng.normal(size=(6, 2)),
+                                (0, 1, 0): rng.normal(size=(6, 2))})
+    got = cols.exp_apply(gens)
+    want = MatrixPoly.exp_linear(gens, 3, 4) @ cols
+    assert set(got.terms) == set(want.terms)
+    assert all(opnorm(got.terms[e] - want.terms[e]) < 1e-12 for e in got.terms)
+
+
+@pytest.mark.parametrize("rho_a, rho_b, error", [
+    (np.diag([1.2, -0.2]), GROUND, ValueError),
+    (GROUND, np.array([[0.5, 0.5], [0.0, 0.5]]), NotHermitian),
+    (GROUND, np.diag([0.5, 0.6]), ValueError),
+], ids=["rho_a_negative", "rho_b_not_hermitian", "rho_b_trace"])
+def test_tripartite_refuses_non_density_states(rho_a, rho_b, error):
+    with pytest.raises(error, match="rho_a" if rho_a is not GROUND else "rho_b"):
+        tripartite_order_count(KICK, BRIDGE, RECEIVER, FB12, sigma_x,
+                               rho_a, rho_b, 4)
 
 
 def _single_detector_setup(lam=0.5):
