@@ -159,6 +159,13 @@ def _exec_family(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
                 for b, x, y in zip(labels, xs, ys)]
 
 
+def _gate_counts(rep: RunReport, prefix: str, check) -> None:
+    """Gate counts as results: they say whether a zero residual came from
+    gates skipped by the cone rule, and are no residuals bounded by tol."""
+    for name in ("gates_applied", "gates_skipped", "max_support_dim"):
+        rep.results[f"{prefix}.{name}"] = getattr(check, name)
+
+
 def _exec_fv(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
     spec = doc["fv_preset"]
     rng = np.random.default_rng(spec.get("seed", args.seed))
@@ -175,6 +182,7 @@ def _exec_fv(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
     bos = bostelmann_check(c, p1, p2, o3, rng=rng, enforce=False)
     rep.residuals["fv.bostelmann.residual"] = bos.residual
     rep.residuals["fv.bostelmann.state_spread"] = bos.state_spread
+    _gate_counts(rep, "fv.bostelmann", bos)
     rep.checks.append(CheckResult("fv.geometry", not bos.failed,
                                   float(len(bos.failed)), "; ".join(bos.failed)))
     rep.checks.append(CheckResult("fv.bostelmann", bos.residual <= tol.operator,
@@ -186,6 +194,7 @@ def _exec_fv(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
     rep.residuals["fv.corollary6.residual"] = cor.residual
     rep.residuals["fv.corollary6.factorization"] = cor.factorization
     rep.residuals["fv.corollary6.probability_gap"] = cor.probability_gap
+    _gate_counts(rep, "fv.corollary6", cor)
     rep.checks.append(CheckResult("fv.corollary6", cor.residual <= tol.operator,
                                   cor.residual))
 

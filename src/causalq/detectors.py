@@ -33,7 +33,8 @@ import numpy as np
 from .causal import (CellRegion, _ring, cells, classify_configuration, precedes,
                      spacelike)
 from .config import DEFAULT, Tolerances
-from .errors import CausalqError, NotCausallyOrderable, NotSorkinType
+from .errors import (CausalqError, NotCausallyOrderable, NotHermitian,
+                     NotSorkinType, ValidationError)
 from .field import FieldModel, FockBackend, SmearingFn, _two_point
 from .qops import (LocalOperator, ProductSpace, _embed_matrix, check_density,
                    commutator, dag, expih, is_hermitian, opnorm, select_outcome,
@@ -153,10 +154,10 @@ class PerturbativeState:
     def __post_init__(self):
         for k, m in enumerate(self.orders):
             if not is_hermitian(m, self.tol):
-                raise ValueError("order terms must be Hermitian")
+                raise NotHermitian(f"order {k} term is not Hermitian")
             if abs(np.trace(m) - float(k == 0)) > self.tol.trace:
-                raise ValueError("zeroth order must have unit trace" if k == 0
-                                 else f"order {k} term must be traceless")
+                raise ValidationError("zeroth order must have unit trace" if k == 0
+                                      else f"order {k} term must be traceless")
 
     def evaluate(self) -> np.ndarray:
         return sum(self.orders)

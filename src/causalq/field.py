@@ -295,7 +295,8 @@ class FockBackend:
         f = self.field
         modes = tuple(int(j) for j in self.modes)
         if len(set(j % f.sites for j in modes)) != len(modes):
-            raise ValueError("duplicate modes")
+            raise ValueError(f"modes {list(modes)} repeat a mode modulo the "
+                             f"{f.sites} sites")
         if len(modes) > 3 or self.cutoff > 4:
             raise TruncationTooLarge("at most 3 modes and occupation cutoff 4")
         if len(modes) == 0 or self.cutoff < 1:

@@ -23,7 +23,7 @@ import numpy as np
 from .causal import cells, fig2_preset, rect
 from .config import DEFAULT, Tolerances
 from .detectors import DetectorSpec
-from .errors import ParseError, ValidationError
+from .errors import ParseError, TruncationTooLarge, ValidationError
 from .field import FieldModel, FockBackend, SmearingFn, fock_backend
 from .histories import HistoryFamily
 from .qops import (DensityState, LocalOperator, ProductSpace,
@@ -469,7 +469,11 @@ def build_tripartite(doc: Mapping) -> tuple[SmearingFn, DetectorSpec | None,
         raise ValidationError("detectors section has no tripartite entry")
     t = sec["tripartite"]
     f = build_field(doc)
-    fb = fock_backend(f, t["modes"], t["cutoff"])
+    try:  # the backend validates its modes and cutoff before building anything
+        fb = fock_backend(f, t["modes"], t["cutoff"])
+    except (ValueError, TruncationTooLarge) as e:
+        raise ValidationError(f"tripartite modes {t['modes']} with cutoff "
+                              f"{t['cutoff']}: {e}") from None
     cell = (t["kick_step"], t["kick_site"])
     kick_fn = SmearingFn({cell: t.get("kick_strength", 1.0)},
                          cells([cell], period=f.sites))

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -116,6 +117,22 @@ def test_run_bostelmann_reports_residual_keys(tmp_path, capsys):
     assert rep["residuals"]["fv.corollary6.residual"] < 1e-10
 
 
+def test_run_bostelmann_zeros_come_with_gate_counts(tmp_path, capsys):
+    rc, _, _ = cli(capsys, "run", PRESETS / "bostelmann.json", "--out", tmp_path)
+    assert rc == 0
+    rep = read_report(tmp_path, "bostelmann")
+    res, out = rep["residuals"], rep["results"]
+    assert res["fv.bostelmann.residual"] == res["fv.bostelmann.state_spread"] == 0.0
+    assert res["fv.corollary6.factorization"] == 0.0
+    # the cone rule skipped gates; the counts are results, not residuals
+    assert out["fv.bostelmann.gates_skipped"] > 0
+    assert out["fv.bostelmann.gates_applied"] > 0
+    assert 0 < out["fv.bostelmann.max_support_dim"] < 2 ** 7
+    assert out["fv.corollary6.gates_skipped"] == 6
+    assert out["fv.corollary6.max_support_dim"] == 2 ** 7
+    assert not any(".gates_" in k or "support_dim" in k for k in res)
+
+
 def test_run_sorkin_preset_shows_signalling(tmp_path, capsys):
     rc, _, _ = cli(capsys, "run", PRESETS / "sorkin_qubit_baby.json",
                    "--out", tmp_path)
@@ -215,6 +232,17 @@ def test_check_fv_broken_geometry_fails_with_diagnostics(tmp_path, capsys):
     assert rep["residuals"]["fv.bostelmann.residual"] > 1e-3
 
 
+def test_run_fv_broken_geometry_reproduces_its_signal(tmp_path, capsys):
+    # the cone rule must not hide real signalling; these are the values of
+    # the full-space construction for this document
+    doc = {"fv_preset": {"name": "bostelmann", "valid": False, "seed": 5}}
+    rc, _, _ = cli(capsys, "run", write_doc(tmp_path, doc), "--out", tmp_path)
+    assert rc == 1
+    res = read_report(tmp_path, "doc")["residuals"]
+    assert abs(res["fv.bostelmann.residual"] - 1.0146052542725268) <= 1e-12
+    assert abs(res["fv.bostelmann.state_spread"] - 0.03006941232284155) <= 1e-12
+
+
 def test_check_detector_pair_spacelike_passes(tmp_path, capsys):
     rc, out, _ = cli(capsys, "check", PRESETS / "detector_pair.json",
                      "--suite", "detector", "--out", tmp_path)
@@ -289,6 +317,13 @@ TRIPARTITE_INPUT_ERRORS = {
                                  "detector and mode labels must be distinct"),
     "receiver_label_of_mode": ({"receiver": {"label": "m3"}},
                                "detector and mode labels must be distinct"),
+    "modes_equal_mod_sites": ({"modes": [3, 15]},
+                              r"tripartite modes \[3, 15\] with cutoff 3: modes "
+                              r"\[3, 15\] repeat a mode modulo the 12 sites"),
+    "degenerate_mode": ({"modes": [0]}, r"tripartite modes \[0\] with cutoff 3: "
+                        "mode 0 is degenerate"),
+    "cutoff_too_large": ({"cutoff": 5}, r"tripartite modes \[3, -3\] with cutoff 5: "
+                         "at most 3 modes and occupation cutoff 4"),
 }
 
 
@@ -302,7 +337,7 @@ def test_tripartite_input_errors_exit_2(tmp_path, capsys, command, edit, message
         t[key] = {**t[key], **value} if isinstance(value, dict) else value
     rc, _, err = cli(capsys, command, write_doc(tmp_path, doc), "--out", tmp_path)
     assert rc == 2
-    assert err.startswith(f"input error: {message}")
+    assert re.match(f"input error: {message}", err)
     with pytest.raises(ValidationError, match=message):
         build_tripartite(doc)
 
@@ -591,8 +626,10 @@ def test_fixed_seed_reproduces_fv_residuals(tmp_path, capsys):
     assert reps[0]["residuals"] == reps[1]["residuals"]
     rc, _, _ = cli(capsys, "run", path, "--out", tmp_path / "c", "--seed", "4")
     other = read_report(tmp_path / "c", "doc")
-    spread = "fv.bostelmann.state_spread"
-    assert other["residuals"][spread] != reps[0]["residuals"][spread]
+    # the Bostelmann residuals are exact zeros for every seed; the corollary-6
+    # residual is rounding from seeded states and effects
+    residual = "fv.corollary6.residual"
+    assert other["residuals"][residual] != reps[0]["residuals"][residual]
 
 
 def test_round_trip_rerun_identical(tmp_path, capsys):
@@ -622,7 +659,9 @@ def test_env_tolerance_override_tightens_check(tmp_path, capsys, monkeypatch):
     rc, out, _ = cli(capsys, "check", PRESETS / "bostelmann.json",
                      "--suite", "fv", "--out", tmp_path)
     assert rc == 1
-    assert "[FAIL] fv.bostelmann" in out
+    # the Bostelmann residual is an exact zero, the corollary-6 one rounding
+    assert "[PASS] fv.bostelmann measured=0\n" in out
+    assert "[FAIL] fv.corollary6" in out
 
 
 def test_document_tolerances_beat_env(tmp_path, capsys, monkeypatch):

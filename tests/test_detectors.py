@@ -17,7 +17,8 @@ from causalq.detectors import (
     sigma_operator, signal_noise_split, trace_norm, tripartite_order_count,
     _interaction_generators, _mean_moment)
 from causalq.errors import (CausalqError, NotCausallyOrderable, NotHermitian,
-                            NotSorkinType, OutOfWindow, ZeroProbability)
+                            NotSorkinType, OutOfWindow, ValidationError,
+                            ZeroProbability)
 from causalq.field import (FieldModel, SmearingFn, fock_backend, smeared_commutator,
                            smeared_wightman)
 from causalq import qops
@@ -94,10 +95,12 @@ def test_microcausality_gapless_detector_causal():
 def test_perturbative_state_validation():
     eye = np.eye(2, dtype=complex)
     z = np.zeros((2, 2), dtype=complex)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="zeroth order must have unit trace"):
         PerturbativeState((2 * eye / 2 + eye,), z, z)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="order 1 term must be traceless"):
         PerturbativeState((eye / 2, eye), z, z)
+    with pytest.raises(NotHermitian, match="order 1 term is not Hermitian"):
+        PerturbativeState((eye / 2, np.array([[0, 1], [0, 0]], dtype=complex)), z, z)
     ps = PerturbativeState((eye / 2, z, z), z, z)
     assert np.allclose(ps.evaluate(), eye / 2)
 

@@ -1,4 +1,8 @@
 """Probe scheme on the circuit lattice: scattering map, updates, no-signalling."""
+from collections import Counter
+from dataclasses import replace
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -82,9 +86,9 @@ def test_no_coupling_gives_identity_map():
     rng = np.random.default_rng(2)
     c = random_brickwork(rng, 3, 3)
     sm = scattering_map(c, qubit_probe("P", [], rng))
-    assert opnorm(sm.s - np.eye(16)) < 1e-12
+    assert sm.gates == ()
     x = random_hermitian(16, rng)
-    assert opnorm(sm.theta(x) - x) < 1e-12
+    assert opnorm(sm.theta(x) - x) == 0.0
 
 
 def test_theta_star_isomorphism_random_pairs():
@@ -460,30 +464,252 @@ def test_gate_local_map_matches_embed_and_multiply(coupled):
         c, p, q = mixed_dim_instance(rng)
         sm = scattering_map(c, p, q, coupled=coupled)
         sp, v0, v, prefix = embed_and_multiply(c, (p, q), coupled)
+        s = dag(v0) @ v
         assert sm.space == sp
-        assert opnorm(sm.v0 - v0) <= 1e-12
-        assert opnorm(sm.v - v) <= 1e-12
-        assert opnorm(sm.s - dag(v0) @ v) <= 1e-12
-        assert len(sm.free_prefix) == len(prefix)
-        for got, want in zip(sm.free_prefix, prefix):
-            assert opnorm(got - want) <= 1e-12
+        # each dressed gate is W_t^dag k W_t, carried on its past cone and probe
+        bare = {(pc.label, cell): g for pc in (p, q) if pc.label in coupled
+                for cell, g in pc.gates}
+        assert len(sm.gates) == len(bare)
+        for g in sm.gates:
+            (t, x), label = g.cell, g.probe
+            want = (dag(prefix[t]) @ _embed_matrix(bare[label, g.cell], [f"s{x}", label], sp)
+                    @ prefix[t])
+            assert opnorm(_embed_matrix(g.matrix, g.labels, sp) - want) <= 1e-12
+            assert {int(l[1:]) for l in g.labels if l != label} <= set(
+                range(max(0, x - t), x + t + 1))
+        m = rng.normal(size=(sp.dim,) * 2) + 1j * rng.normal(size=(sp.dim,) * 2)
+        assert opnorm(sm.theta(m) - dag(s) @ m @ s) <= 1e-12
+        assert opnorm(sm.theta_dual(m) - s @ m @ dag(s)) <= 1e-12
         a = random_hermitian(3, rng)
         want = dag(prefix[2]) @ _embed_matrix(a, ["s1"], sp) @ prefix[2]
         assert opnorm(cell_operator(sm, (2, 1), a) - want) <= 1e-12
         # induced observable and selective update against full-space filters
         b, sigma = random_effect(3, rng), random_density(3, rng)
-        big = dag(sm.s) @ _embed_matrix(b, ["Q"], sp) @ sm.s
+        big = dag(s) @ _embed_matrix(b, ["Q"], sp) @ s
         w = _embed_matrix(p.sigma, ["P"], sp) @ _embed_matrix(sigma, ["Q"], sp)
         want = _ptrace_matrix(w @ big, sp, list(c.site_labels))
         got = induced_observable(sm, b, sigma=sigma, probe="Q")
         assert opnorm(got - want) <= 1e-12
         omega = random_density(24, rng)
-        rho = sm.theta_dual(np.kron(np.kron(omega, p.sigma), q.sigma))
+        rho = s @ np.kron(np.kron(omega, p.sigma), q.sigma) @ dag(s)
         num = _ptrace_matrix(rho @ _embed_matrix(b, ["Q"], sp), sp, list(c.site_labels))
         num = (num + dag(num)) / 2
         state, prob = update_selective(sm, omega, b, probe="Q")
         assert abs(prob - np.trace(num).real) <= 1e-12
         assert opnorm(state - num / prob) <= 1e-12
+
+
+def dense_scattering(c, probes, coupled):
+    """S = V0^dag V and the free prefixes, from embedded full-space gates."""
+    sp, v0, v, prefix = embed_and_multiply(c, probes, coupled)
+    return sp, dag(v0) @ v, prefix
+
+
+def dense_bostelmann(c, p1, p2, o3, rng, extra_probe1=3):
+    """Residual and spread of bostelmann_check with every map a d x d matrix,
+    drawing the observable, the state and the probe-1 variants in its order."""
+    sp, s2, prefix = dense_scattering(c, (p1, p2), (p2.label,))
+    _, s1, _ = dense_scattering(c, (p1, p2), (p1.label,))
+    cmat = reduce(np.matmul, [
+        dag(prefix[t]) @ _embed_matrix(random_hermitian(c.dims[x], rng), [f"s{x}"], sp)
+        @ prefix[t] for t, x in sorted(o3.cells)])
+    processed = dag(s2) @ cmat @ s2
+    residual = opnorm(dag(s1) @ processed @ s1 - processed)
+    rho0 = reduce(np.kron, [random_density(int(np.prod(c.dims)), rng),
+                            p1.sigma, p2.sigma])
+    base = np.trace(rho0 @ processed)
+    variants = [p1, replace(p1, gates=())]
+    variants += [replace(p1, gates=tuple(
+        (cell, haar_unitary(c.dims[cell[1]] * p1.dim, rng)) for cell, _ in p1.gates))
+        for _ in range(extra_probe1)]
+    spread = 0.0
+    for pv in variants:
+        _, sv, _ = dense_scattering(c, (pv, p2), (p1.label, p2.label))
+        spread = max(spread, abs(np.trace(rho0 @ dag(sv) @ cmat @ sv) - base))
+    return residual, spread
+
+
+def dense_corollary6(c, omega, p1, p2, b1, b2):
+    """Residual, factorization and probability gap of corollary6_check from
+    full-space scattering operators and embedded effects."""
+    sp, s12, _ = dense_scattering(c, (p1, p2), (p1.label, p2.label))
+    _, s1, _ = dense_scattering(c, (p1, p2), (p1.label,))
+    _, s2, _ = dense_scattering(c, (p1, p2), (p2.label,))
+
+    def selective(s, rho, effects):
+        rho = s @ reduce(np.kron, [rho, p1.sigma, p2.sigma]) @ dag(s)
+        for label, b in effects:
+            rho = _embed_matrix(b, [label], sp) @ rho
+        num = _ptrace_matrix(rho, sp, list(c.site_labels))
+        num = (num + dag(num)) / 2
+        prob = np.trace(num).real
+        return num / prob, prob
+
+    r1, q1 = selective(s1, omega, [(p1.label, b1)])
+    r12, q2 = selective(s2, r1, [(p2.label, b2)])
+    rj, pj = selective(s12, omega, [(p1.label, b1), (p2.label, b2)])
+    return (np.abs(np.linalg.eigvalsh(r12 - rj)).sum(), opnorm(s12 - s2 @ s1),
+            abs(q1 * q2 - pj))
+
+
+def chain_geometry(rng, n):
+    """A Haar brickwork of n qubits with fv.bostelmann_preset's geometry
+    stretched to n sites: probe 1 at (0, 0), probe 2 at (1, n - 2) and (2, 1),
+    the observable at (3, n - 1)."""
+    c = random_brickwork(rng, n, 3)
+    return (c, qubit_probe("P1", [(0, 0)], rng),
+            qubit_probe("P2", [(1, n - 2), (2, 1)], rng), cells([(3, n - 1)]))
+
+
+def mixed_geometry(rng):
+    """mixed_dim_instance with the qutrit probe Q first and P reading later."""
+    c, p, q = mixed_dim_instance(rng)
+    return c, q, p, cells([(3, 3)])
+
+
+def bridge_geometry(rng):
+    c = random_brickwork(rng, 5, 3)
+    return (c, qubit_probe("P1", [(0, 0)], rng),
+            qubit_probe("P2", [(1, 1), (1, 3)], rng), cells([(2, 4)]))
+
+
+# a cone-rule skip happens in every geometry but the two where probe 2 relays
+GEOMETRIES = {
+    "chain5": lambda rng: chain_geometry(rng, 5),
+    "chain6": lambda rng: chain_geometry(rng, 6),
+    "chain7": lambda rng: chain_geometry(rng, 7),
+    "mixed_dims_free_probes": mixed_geometry,
+    "valid_preset": lambda rng: bostelmann_preset(True, rng),
+    "broken_preset": lambda rng: bostelmann_preset(False, rng),
+    "same_step_bridge": bridge_geometry,
+}
+
+
+@pytest.mark.parametrize("make", GEOMETRIES.values(), ids=GEOMETRIES)
+def test_bostelmann_matches_dense_oracle(make):
+    rng = np.random.default_rng(30)
+    c, p1, p2, o3 = make(rng)
+    seed = int(rng.integers(2 ** 31))
+    rep = bostelmann_check(c, p1, p2, o3, rng=np.random.default_rng(seed),
+                           enforce=False)
+    residual, spread = dense_bostelmann(c, p1, p2, o3, np.random.default_rng(seed))
+    assert abs(rep.residual - residual) <= 1e-12
+    assert abs(rep.state_spread - spread) <= 1e-12
+    assert rep.gates_applied + rep.gates_skipped > 0
+    if not rep.failed:
+        assert rep.residual == rep.state_spread == 0.0
+        assert rep.gates_skipped > 0
+
+
+COROLLARY6_CASES = {
+    # (probe-1 cells, probe-2 cells) on a 5-site brickwork
+    "chain": ([(0, 0)], [(1, 3), (2, 1)]),
+    "probe2_earlier_spacelike": ([(2, 0)], [(1, 4)]),
+    "same_step": ([(0, 0)], [(0, 4)]),
+    "uncoupled_probe2": ([(1, 2)], []),
+}
+
+
+@pytest.mark.parametrize("k1, k2", COROLLARY6_CASES.values(), ids=COROLLARY6_CASES)
+def test_corollary6_matches_dense_oracle(k1, k2):
+    rng = np.random.default_rng(31)
+    c = random_brickwork(rng, 5, 3)
+    p1, p2 = qubit_probe("P1", k1, rng), qubit_probe("P2", k2, rng)
+    omega = random_density(32, rng)
+    b1, b2 = random_effect(2, rng), random_effect(2, rng)
+    rep = corollary6_check(c, omega, p1, p2, b1, b2)
+    want = dense_corollary6(c, omega, p1, p2, b1, b2)
+    for got, ref in zip(rep[:3], want):
+        assert abs(got - ref) <= 1e-12
+    # S12 and S2 S1 differ in order only when a probe-2 gate precedes one of probe 1
+    gates = len(k1) + len(k2)
+    if k2 and min(n for n, _ in k2) < max(n for n, _ in k1):
+        assert rep.gates_skipped < 2 * gates
+    else:
+        assert rep.factorization == 0.0 and rep.gates_skipped == 2 * gates
+    assert rep.gates_applied > 0
+
+
+def test_corollary6_mixed_dims_matches_dense_oracle():
+    rng = np.random.default_rng(32)
+    c, p, q = mixed_dim_instance(rng)
+    late = replace(p, gates=p.gates[:1], region=cells([p.gates[0][0]]))
+    omega = random_density(24, rng)
+    for p1, p2 in [(q, late), (late, replace(q, gates=q.gates[1:],
+                                              region=cells([q.gates[1][0]])))]:
+        b1, b2 = random_effect(p1.dim, rng), random_effect(p2.dim, rng)
+        rep = corollary6_check(c, omega, p1, p2, b1, b2)
+        for got, ref in zip(rep[:3], dense_corollary6(c, omega, p1, p2, b1, b2)):
+            assert abs(got - ref) <= 1e-12
+
+
+def heisenberg_gate_by_gate(sm, op, commutators):
+    """fv's cone rule one gate at a time; the dense commutator of each
+    skipped dressed gate with the operator processed so far is recorded."""
+    sp = sm.space
+    for g in reversed(sm.gates):
+        tally = Counter()
+        after = fv._heisenberg(replace(sm, gates=(g,)), op, tally)
+        if tally["gates_skipped"]:
+            d = _embed_matrix(g.matrix, g.labels, sp)
+            x = _embed_matrix(op.m, op.labels, sp)
+            commutators.append(opnorm(d @ x - x @ d))
+        op = after
+    return op
+
+
+@pytest.mark.parametrize("make", GEOMETRIES.values(), ids=GEOMETRIES)
+def test_skipped_gates_commute_with_the_operator(make):
+    rng = np.random.default_rng(33)
+    c, p1, p2, o3 = make(rng)
+    sm2 = scattering_map(c, p1, p2, coupled=(p2.label,))
+    sm1 = scattering_map(c, p1, p2, coupled=(p1.label,))
+    op = reduce(lambda a, b: fv._product(sm2.space, a, b), [
+        fv._Local(*fv._dress_cell(sm2, cell, random_hermitian(c.dims[cell[1]], rng)),
+                  frozenset([cell])) for cell in sorted(o3.cells)])
+    commutators = []
+    heisenberg_gate_by_gate(sm1, heisenberg_gate_by_gate(sm2, op, commutators),
+                            commutators)
+    pv = replace(p1, gates=tuple((cell, haar_unitary(c.dims[cell[1]] * p1.dim, rng))
+                                 for cell, _ in p1.gates))
+    heisenberg_gate_by_gate(scattering_map(c, pv, p2), op, commutators)
+    assert max(commutators, default=0.0) <= 1e-12
+    assert bool(commutators) is (make not in (mixed_geometry, bridge_geometry))
+
+
+def test_bostelmann_stays_off_the_joint_space(monkeypatch):
+    rng = np.random.default_rng(34)
+    c, p1, p2, o3 = chain_geometry(rng, 7)
+    joint = 2 ** 9
+    operands, norms = [], []
+    apply, norm = fv._apply_matrix, fv.opnorm
+
+    def spy_apply(op, labels, sp, m):
+        operands.append(len(m))
+        return apply(op, labels, sp, m)
+
+    def spy_norm(m):
+        norms.append(len(m))
+        return norm(m)
+    monkeypatch.setattr(fv, "_apply_matrix", spy_apply)
+    monkeypatch.setattr(fv, "opnorm", spy_norm)
+    rep = bostelmann_check(c, p1, p2, o3, rng=rng)
+    assert operands and max(operands) < joint
+    assert rep.residual == rep.state_spread == 0.0
+    assert rep.max_support_dim < joint
+    cor = corollary6_check(c, random_density(2 ** 7, rng), p1, p2,
+                           random_effect(2, rng), random_effect(2, rng))
+    assert cor.factorization == 0.0 and cor.gates_skipped == 6
+    assert all(n < joint for n in norms)
+
+
+def test_bostelmann_nine_sites_is_exact_on_the_cones():
+    rng = np.random.default_rng(35)
+    c, p1, p2, o3 = chain_geometry(rng, 9)
+    rep = bostelmann_check(c, p1, p2, o3, rng=rng)
+    assert rep.failed == ()
+    assert rep.residual == rep.state_spread == 0.0
+    assert rep.gates_skipped > 0 and rep.max_support_dim <= 2 ** 5
 
 
 def test_fv_path_forms_no_full_space_gate(monkeypatch):
@@ -496,7 +722,9 @@ def test_fv_path_forms_no_full_space_gate(monkeypatch):
     p1 = qubit_probe("P1", [(0, 0)], rng, free=(haar_unitary(2, rng),) * 3)
     p2 = qubit_probe("P2", [(1, 3), (2, 1)], rng)
     sm = scattering_map(c, p1, p2)
-    assert opnorm(sm.s @ dag(sm.s) - np.eye(sm.space.dim)) < 1e-12
+    eye = np.eye(sm.space.dim)
+    assert opnorm(sm.theta(eye) - eye) < 1e-12
+    assert opnorm(sm.theta_dual(eye) - eye) < 1e-12
     cell_operator(sm, (3, 4), SZ)
     induced_observable(sm, GROUND, probe="P2")
     assert bostelmann_check(c, p1, p2, cells([(3, 4)]), rng=rng).residual < 1e-12
