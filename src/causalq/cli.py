@@ -109,11 +109,11 @@ def _write_rows(rep: RunReport, out_dir: Path, stem: str, fmt: str) -> Path | No
     cols = list(rep.rows[0])  # the first row fixes the columns and their formats
     text = [isinstance(rep.rows[0][k], str) for k in cols]
     out_dir.mkdir(parents=True, exist_ok=True)
-    if fmt == "json":  # floats keep every bit, as 17 significant digits do
+    if fmt == "json":  # one row a line, C-encoded; floats keep every bit
         path = out_dir / f"{stem}.data.json"
-        rows = [{k: r[k] if t else float(r[k]) for k, t in zip(cols, text)}
-                for r in rep.rows]
-        path.write_text(json.dumps(rows, indent=2) + "\n")
+        rows = (json.dumps({k: r[k] if t else float(r[k]) for k, t in zip(cols, text)})
+                for r in rep.rows)
+        path.write_text("[\n" + ",\n".join(rows) + "\n]\n")
     else:
         path = out_dir / f"{stem}.data.csv"
         cells = [str if t else "%.17g".__mod__ for t in text]

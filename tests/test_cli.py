@@ -573,11 +573,12 @@ def _reference_family_rows(dm) -> list[dict]:
 
 
 def _reference_data(rows: list[dict], fmt: str) -> str:
-    """Each cell typed on its own, numbers through `fmt17`."""
+    """Each cell typed on its own, numbers through `fmt17`; JSON one row a line."""
     cols = list(rows[0])
     if fmt == "json":
-        return json.dumps([{k: r[k] if isinstance(r[k], str) else float(fmt17(r[k]))
-                            for k in cols} for r in rows], indent=2) + "\n"
+        return "[\n" + ",\n".join(json.dumps({
+            k: r[k] if isinstance(r[k], str) else float(fmt17(r[k])) for k in cols})
+            for r in rows) + "\n]\n"
     lines = [",".join(cols)]
     lines += [",".join(r[k] if isinstance(r[k], str) else fmt17(r[k]) for k in cols)
               for r in rows]
@@ -610,6 +611,26 @@ def test_data_files_match_per_entry_reference(tmp_path, capsys, monkeypatch, arg
         assert rows == _reference_family_rows(decoherence(fam, rho))
     data = tmp_path / "out" / f"{path.stem}.data.{fmt}"
     assert data.read_text() == _reference_data(rows, fmt)
+
+
+@pytest.mark.parametrize("argv", [["run", "fuksa_family.json"],
+                                  ["sweep", "tripartite_orders.json"]],
+                         ids=["fuksa_family", "tripartite_orders"])
+def test_json_data_parses_to_the_indented_rows(tmp_path, capsys, monkeypatch, argv):
+    # one C-encoded row a line reads back as the json.dumps(indent=2) document
+    tables = []
+    write = cli_module._write_rows
+    monkeypatch.setattr(cli_module, "_write_rows",
+                        lambda rep, *a: tables.append(rep.rows) or write(rep, *a))
+    rc, _, _ = cli(capsys, argv[0], PRESETS / argv[1], "--format", "json",
+                   "--out", tmp_path)
+    assert rc == 0
+    (rows,) = tables
+    indented = json.dumps([{k: v if isinstance(v, str) else float(v) for k, v in r.items()}
+                           for r in rows], indent=2)
+    text = (tmp_path / f"{Path(argv[1]).stem}.data.json").read_text()
+    assert json.loads(text) == json.loads(indented)
+    assert len(text.splitlines()) == len(rows) + 2
 
 
 # determinism, round trip, tolerance plumbing

@@ -224,11 +224,14 @@ def test_selective_zero_probability_raises():
         update_selective(sm, omega, np.diag([0.0, 1.0]))
 
 
-@pytest.mark.parametrize("block, error, words", [
+NO_DENSITY = pytest.mark.parametrize("block, error, words", [
     ([[1, 5], [0, -3]], NotHermitian, "system state is not Hermitian"),
     ([[1, 0], [0, -3]], ValueError, "system state does not have unit trace"),
     ([[2, 0], [0, -1]], ValueError, "system state is not positive semidefinite"),
 ], ids=["non_hermitian", "trace_minus_2", "negative"])
+
+
+@NO_DENSITY
 @pytest.mark.parametrize("update", [
     update_nonselective, lambda sm, omega: update_selective(sm, omega, np.eye(2))],
     ids=["nonselective", "selective"])
@@ -239,6 +242,30 @@ def test_updates_refuse_a_system_state_that_is_no_density(update, block, error, 
     omega[:2, :2] = block
     with pytest.raises(error, match=words):
         update(sm, omega)
+
+
+@NO_DENSITY
+@pytest.mark.parametrize("check", ["corollary6", "bostelmann"])
+def test_checks_refuse_a_system_state_that_is_no_density(check, block, error, words):
+    c, p = cnot_preset()
+    q = ProbeCoupling("Q", 2, GROUND)
+    omega = np.zeros((4, 4), dtype=complex)
+    omega[:2, :2] = block
+    with pytest.raises(error, match=words):
+        if check == "corollary6":
+            corollary6_check(c, omega, p, q, np.eye(2), np.eye(2))
+        else:
+            bostelmann_check(c, p, q, cells([(1, 1)]), omega=omega, enforce=False)
+
+
+def test_bostelmann_reads_the_circuit_tolerances():
+    c, p = cnot_preset(DEFAULT.replace(trace=1e-8))
+    omega = np.diag([0.5 + 1e-9, 0.5, 0.0, 0.0]).astype(complex)
+    q = ProbeCoupling("Q", 2, GROUND)
+    bostelmann_check(c, p, q, cells([(1, 1)]), omega=omega, enforce=False)
+    c, p = cnot_preset()
+    with pytest.raises(ValueError, match="unit trace"):
+        bostelmann_check(c, p, q, cells([(1, 1)]), omega=omega, enforce=False)
 
 
 def test_updates_read_the_trace_tolerance():
@@ -730,3 +757,141 @@ def test_fv_path_forms_no_full_space_gate(monkeypatch):
     assert bostelmann_check(c, p1, p2, cells([(3, 4)]), rng=rng).residual < 1e-12
     omega = random_density(32, rng)
     assert corollary6_check(c, omega, p1, p2, GROUND, GROUND).residual < 1e-12
+
+
+def dense_evolved(sm, omega, effects, overrides=None):
+    """tr_P[(1 (x) B) S (omega (x) sigma) S^dag] with the joint state a full
+    matrix that every dressed gate conjugates from both sides."""
+    overrides = overrides or {}
+    c = sm.circuit
+    keep = [p for p in sm.probes if p.label in sm.coupled or p.label in effects]
+    sp = sm.space.restricted([*c.site_labels, *(p.label for p in keep)])
+    rho = reduce(np.kron, [overrides.get(p.label, p.sigma) for p in keep], omega)
+    for g in sm.gates:
+        rho = fv._conjugate(dag(g.matrix), g.labels, sp, rho)
+    for label, b in effects.items():
+        rho = qops._apply_matrix(np.asarray(b, dtype=complex), [label], sp, rho)
+    return _ptrace_matrix(rho, sp, list(c.site_labels))
+
+
+def dense_selective(sm, omega, effects, overrides=None):
+    num = dense_evolved(sm, omega, effects, overrides)
+    num = (num + dag(num)) / 2
+    prob = np.trace(num).real
+    return num / prob, prob
+
+
+def assert_same_update(got, want):
+    assert opnorm(got[0] - want[0]) <= 1e-12
+    assert abs(got[1] - want[1]) <= 1e-12
+
+
+def rank2_qutrit(rng):
+    v = haar_unitary(3, rng)
+    return v @ np.diag([0.6, 0.4, 0.0]) @ dag(v)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_corollary6_updates_match_the_two_sided_oracle(n):
+    rng = np.random.default_rng(40 + n)
+    c, p1, p2, _ = chain_geometry(rng, n)
+    omega = random_density(2 ** n, rng)
+    b1, b2 = random_effect(2, rng), random_effect(2, rng)
+    sm12 = scattering_map(c, p1, p2)
+    sm1, sm2 = sm12._coupling("P1"), sm12._coupling("P2")
+    r1, _ = fv._selective(sm1, omega, {"P1": b1}, DEFAULT)
+    for sm, rho, effects in [(sm1, omega, {"P1": b1}), (sm2, r1, {"P2": b2}),
+                             (sm12, omega, {"P1": b1, "P2": b2})]:
+        assert_same_update(fv._selective(sm, rho, effects, DEFAULT),
+                           dense_selective(sm, rho, effects))
+
+
+@pytest.mark.parametrize("coupled", [(), ("P",), ("Q",), ("P", "Q")])
+def test_updates_match_the_two_sided_oracle(coupled):
+    # free probe motion, a rank-2 qutrit preparation, a sigma override, and Q
+    # filtered whether or not it couples
+    rng = np.random.default_rng(48)
+    c, p, q = mixed_dim_instance(rng)
+    q = replace(q, sigma=rank2_qutrit(rng))
+    sm = scattering_map(c, p, q, coupled=coupled)
+    omega = random_density(24, rng)
+    assert opnorm(update_nonselective(sm, omega) - dense_evolved(sm, omega, {})) <= 1e-12
+    b = random_effect(3, rng)
+    for sigma in (None, rank2_qutrit(rng), random_density(3, rng)):
+        got = update_selective(sm, omega, b, sigma=sigma, probe="Q")
+        want = dense_selective(sm, omega, {"Q": b}, None if sigma is None else {"Q": sigma})
+        assert_same_update(got, want)
+    b = random_effect(2, rng)
+    assert_same_update(update_selective(sm, omega, b, probe="P"),
+                       dense_selective(sm, omega, {"P": b}))
+
+
+def test_corollary6_never_forms_the_joint_state(monkeypatch):
+    rng = np.random.default_rng(49)
+    c, p1, p2, _ = chain_geometry(rng, 7)
+    joint, d_sys = 2 ** 9, 2 ** 7
+    shapes = []
+    apply = fv._apply_matrix
+
+    def spy(op, labels, sp, m):
+        shapes.append(m.shape)
+        return apply(op, labels, sp, m)
+    monkeypatch.setattr(fv, "_apply_matrix", spy)
+    rep = corollary6_check(c, random_density(d_sys, rng), p1, p2,
+                           random_effect(2, rng), random_effect(2, rng))
+    assert (joint, d_sys) in shapes           # the joint update's columns
+    assert (joint, joint) not in shapes
+    assert rep.residual <= 1e-12 and rep.factorization == 0.0
+
+
+def spy_dressings(monkeypatch):
+    """Counter of (probe, cell) over the coupling gates fv dresses from now on."""
+    counts = Counter()
+    back = fv._back_evolve
+
+    def spy(sp, c, probes, labels, m, t):
+        if len(labels) == 2:                  # (site, probe): a coupling gate
+            counts[labels[1], (t, int(labels[0][1:]))] += 1
+        return back(sp, c, probes, labels, m, t)
+    monkeypatch.setattr(fv, "_back_evolve", spy)
+    return counts
+
+
+def test_each_coupling_gate_is_dressed_once_per_check(monkeypatch):
+    rng = np.random.default_rng(50)
+    c, p1, p2, o3 = chain_geometry(rng, 6)
+    counts = spy_dressings(monkeypatch)
+    corollary6_check(c, random_density(2 ** 6, rng), p1, p2,
+                     random_effect(2, rng), random_effect(2, rng))
+    assert counts == Counter({("P1", (0, 0)): 1, ("P2", (1, 4)): 1, ("P2", (2, 1)): 1})
+    counts.clear()
+    bostelmann_check(c, p1, p2, o3, rng=rng, extra_probe1=3)
+    # probe 1 once for the check and once per Haar variant; probe 2 once
+    assert counts == Counter({("P1", (0, 0)): 4, ("P2", (1, 4)): 1, ("P2", (2, 1)): 1})
+
+
+@pytest.mark.parametrize("make", GEOMETRIES.values(), ids=GEOMETRIES)
+def test_bostelmann_variant_maps_equal_fresh_maps(monkeypatch, make):
+    # every map the check conjugates with holds, bit for bit, the gates that a
+    # fresh scattering_map of its probes and coupling dresses
+    rng = np.random.default_rng(51)
+    c, p1, p2, o3 = make(rng)
+    maps = []
+    heisenberg = fv._heisenberg
+    monkeypatch.setattr(fv, "_heisenberg",
+                        lambda sm, op, tally: maps.append(sm) or heisenberg(sm, op, tally))
+    bostelmann_check(c, p1, p2, o3, rng=rng, enforce=False)
+    assert len(maps) == 2 + 2 + 3
+    for sm in maps:
+        fresh = scattering_map(c, *sm.probes, coupled=sm.coupled)
+        assert [(g.cell, g.probe, g.labels) for g in sm.gates] == [
+            (g.cell, g.probe, g.labels) for g in fresh.gates]
+        assert all(np.array_equal(g.matrix, h.matrix) for g, h in zip(sm.gates, fresh.gates))
+
+
+def test_bostelmann_broken_preset_keeps_its_bits():
+    rng = np.random.default_rng(5)
+    c, p1, p2, o3 = bostelmann_preset(False, rng)
+    rep = bostelmann_check(c, p1, p2, o3, rng=rng, enforce=False)
+    assert rep.residual == 1.0146052542725259
+    assert rep.state_spread == 0.03006941232284155
