@@ -372,7 +372,8 @@ def _parser() -> argparse.ArgumentParser:
         q = sub.add_parser(name)
         q.add_argument("file", type=Path)
         q.add_argument("--out", type=Path, default=Path("."))
-        q.add_argument("--format", choices=("csv", "json"), default="csv")
+        if name != "check":  # no check suite writes a data file
+            q.add_argument("--format", choices=("csv", "json"), default="csv")
         q.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1)
         q.add_argument("--seed", type=int, default=0)
         if name == "check":
@@ -400,7 +401,8 @@ def main(argv=None) -> int:
         return 3
     stem = Path(args.file).stem
     report_path = _write_report(rep, args.out, stem)
-    data_path = _write_rows(rep, args.out, stem, args.format)
+    data_path = None if args.command == "check" else _write_rows(
+        rep, args.out, stem, args.format)
     for c in rep.checks:
         tag = "PASS" if c.passed else ("FAIL" if c.passed is False else "info")
         extra = f" ({c.note})" if c.note else ""

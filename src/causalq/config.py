@@ -29,18 +29,8 @@ class Tolerances:
 
 DEFAULT = Tolerances()
 
-# mapping from configuration keys to dataclass fields
-_KEYS = {
-    "tol.hermitian": "hermitian",
-    "tol.trace": "trace",
-    "tol.projector": "projector",
-    "tol.positivity": "positivity",
-    "tol.unitary": "unitary",
-    "tol.support": "support",
-    "tol.degeneracy": "degeneracy",
-    "tol.operator": "operator",
-    "tol.probability": "probability",
-}
+# configuration key "tol.<name>" for every dataclass field
+_KEYS = {f"tol.{f.name}": f.name for f in dataclasses.fields(Tolerances)}
 
 
 def with_overrides(overrides: Mapping | None, base: Tolerances = DEFAULT) -> Tolerances:

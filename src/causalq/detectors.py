@@ -320,24 +320,19 @@ def joint_state(fb: FockBackend, det_states: Sequence[np.ndarray]) -> np.ndarray
     return np.kron(rho, np.outer(vac, vac.conj()))
 
 
-def _phi_slice(fb: FockBackend, profile: Mapping[int, float], n: int) -> np.ndarray:
-    """a * sum_s F(s) phi(n, s) on the backend space."""
-    cells = {(n, s): w for s, w in profile.items()}
-    return fb._from_coeffs(fb._weighted_coeffs(cells, fb.field.spacing)).matrix
-
-
 def _interaction_generators(dets: Sequence[DetectorSpec], fb: FockBackend,
                             sp: ProductSpace):
     """Per-step list of (detector index, -i dt H / lambda) generator matrices;
-    the couplings lambda are left out."""
-    mode_labels = fb.space.labels
+    the couplings lambda are left out.  Each is mu(t_n) (x) phi_n, with phi_n
+    = a sum_s F(s) phi(n, s), placed on the detector and mode factors at once."""
+    f = fb.field
     by_step: dict[int, list[tuple[int, np.ndarray]]] = {}
     for v, d in enumerate(dets):
+        labels = [d.label, *fb.space.labels]
         for n, chi in d.switching.items():
-            mu = _embed_matrix(d.mu(n * fb.field.dt), [d.label], sp)
-            phi = _embed_matrix(_phi_slice(fb, d.smearing, n), mode_labels, sp)
-            g = -1j * fb.field.dt * chi * (mu @ phi)
-            by_step.setdefault(n, []).append((v, g))
+            phi = fb._field_matrix({(n, s): w for s, w in d.smearing.items()}, f.spacing)
+            g = -1j * f.dt * chi * np.kron(d.mu(n * f.dt), phi)
+            by_step.setdefault(n, []).append((v, _embed_matrix(g, labels, sp)))
     return by_step
 
 

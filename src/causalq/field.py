@@ -2,11 +2,11 @@
 
 Every vacuum two-point value (Wightman, commutator, retarded Green; pointwise,
 smeared, or on a few modes) comes from one primitive, `_two_point`, which
-reads mode-sum tables cached at construction or, on a mode subset, the inner
+reads mode-sum tables built on first read or, on a mode subset, the inner
 product of the per-mode field coefficients; smeared bilinears are plain
 Riemann sums over lattice cells.  A truncated-Fock backend provides the same
-field content as operators, from the same coefficients, for non-perturbative
-checks on a few modes.
+field content as operators, from the same coefficients and ladder operators
+embedded once per backend, for non-perturbative checks on a few modes.
 
 The massless theory is treated in the discrete-time convention matched to the
 dt = a leapfrog update: phase frequencies Omega_k = |k| and normalization
@@ -25,6 +25,7 @@ is measured, never assumed zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
+from functools import cached_property
 from math import erf
 from typing import Mapping, Sequence
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from .causal import CellRegion, cells
 from .errors import OutOfWindow, TruncationTooLarge
-from .qops import LocalOperator, ProductSpace, _embed_matrix, dag, embed
+from .qops import LocalOperator, ProductSpace, _embed_matrix, dag
 
 __all__ = [
     "FieldModel", "SmearingFn", "FockBackend",
@@ -47,7 +48,7 @@ _DEGENERATE = 1e-14  # normalization frequencies at or below it: degenerate mode
 
 @dataclass(frozen=True, eq=False)
 class FieldModel:
-    """Periodic lattice model; kernels cached eagerly at construction."""
+    """Periodic lattice model; kernel tables built on first read."""
     mass: float = 0.0
     sites: int = 64
     spacing: float = 1.0
@@ -79,8 +80,6 @@ class FieldModel:
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "phase_freq", phase)
         object.__setattr__(self, "norm_freq", norm)
-        object.__setattr__(self, "_wtab", self._build_wightman_table())
-        object.__setattr__(self, "_ctab", self._build_commutator_table())
 
     @property
     def dt(self) -> float:
@@ -89,7 +88,8 @@ class FieldModel:
     def _regular(self) -> np.ndarray:
         return self.norm_freq > _DEGENERATE
 
-    def _build_wightman_table(self) -> np.ndarray:
+    @cached_property
+    def _wtab(self) -> np.ndarray:
         """Translation-invariant Wightman part, indexed [dn + steps, ds]."""
         n, a = self.sites, self.spacing
         dns = np.arange(-self.steps, self.steps + 1)
@@ -109,7 +109,8 @@ class FieldModel:
                 w += (0.5j * (dns * a) / n)[:, None] * par
         return w
 
-    def _build_commutator_table(self) -> np.ndarray:
+    @cached_property
+    def _ctab(self) -> np.ndarray:
         """Commutator for dn >= 0, indexed [dn, ds]."""
         n = self.sites
         if self.mass == 0:
@@ -279,17 +280,15 @@ def smeared_wightman(f: FieldModel, sa: SmearingFn, sb: SmearingFn,
     return _pair_sum(f, sa, sb, modes, "wightman")
 
 
-def _lower(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
-
-
 @dataclass(frozen=True, eq=False)
 class FockBackend:
-    """Truncated multi-mode Fock factor with smeared field operators."""
+    """Truncated multi-mode Fock factor with smeared field operators; each
+    mode's lowering operator is embedded in `space` once, at construction."""
     field: FieldModel
     modes: tuple[int, ...]
     cutoff: int
     space: ProductSpace = dfield(init=False)
+    _ladders: tuple[np.ndarray, ...] = dfield(init=False, repr=False)
 
     def __post_init__(self):
         f = self.field
@@ -308,6 +307,9 @@ class FockBackend:
         sp = ProductSpace(tuple((self.mode_label(j), self.cutoff + 1)
                                 for j in modes))
         object.__setattr__(self, "space", sp)
+        low = np.diag(np.sqrt(np.arange(1, self.cutoff + 1)), 1).astype(complex)
+        object.__setattr__(self, "_ladders", tuple(
+            _embed_matrix(low, [self.mode_label(j)], sp) for j in modes))
 
     @staticmethod
     def mode_label(j: int) -> str:
@@ -320,40 +322,33 @@ class FockBackend:
         return v
 
     def annihilation(self, j: int) -> LocalOperator:
-        return embed(_lower(self.cutoff + 1), self.mode_label(j), self.space)
+        label = self.mode_label(j)
+        a = self._ladders[self.space.index(label)]
+        return LocalOperator(self.space, a, frozenset([label]))
 
     def number(self, j: int) -> LocalOperator:
-        low = _lower(self.cutoff + 1)
-        return embed(dag(low) @ low, self.mode_label(j), self.space)
+        a = self.annihilation(j)
+        return LocalOperator(self.space, dag(a.matrix) @ a.matrix, a.support)
 
-    def phi_coeffs(self, x: Point) -> np.ndarray:
-        """Per-mode coefficient c_j(x) with phi(x) = sum_j c_j a_j + h.c."""
-        return _mode_coeffs(self.field, self.modes, *self.field._check_point(x))
-
-    def smeared_coeffs(self, sm: SmearingFn) -> np.ndarray:
-        return self._weighted_coeffs(sm.weights, self.field.dt * self.field.spacing)
-
-    def _weighted_coeffs(self, weights: Mapping[Point, float],
-                         scale: float) -> np.ndarray:
-        """scale * sum over cells of weight * c_j(cell), summed in cell order."""
+    def _field_matrix(self, weights: Mapping[Point, float], scale: float) -> np.ndarray:
+        """scale * sum over cells of weight * phi(cell) on `space`, with the
+        per-mode coefficients summed in cell order."""
         f = self.field
         n, s = np.array([f._check_point(p) for p in weights]).T
         w = scale * np.array(list(weights.values()))
-        return (w[:, None] * _mode_coeffs(f, self.modes, n, s)).sum(axis=0)
-
-    def _from_coeffs(self, coeffs: np.ndarray) -> LocalOperator:
+        coeffs = (w[:, None] * _mode_coeffs(f, self.modes, n, s)).sum(axis=0)
         m = np.zeros((self.space.dim, self.space.dim), dtype=complex)
-        low = _lower(self.cutoff + 1)
-        for c, j in zip(coeffs, self.modes):
-            ann = _embed_matrix(low, [self.mode_label(j)], self.space)
-            m += c * ann + np.conj(c) * dag(ann)
-        return LocalOperator(self.space, m)
+        for c, a in zip(coeffs, self._ladders):
+            m += c * a + np.conj(c) * dag(a)
+        return m
 
     def phi_at(self, x: Point) -> LocalOperator:
-        return self._from_coeffs(self.phi_coeffs(x))
+        cell = self.field._check_point(x)
+        return LocalOperator(self.space, self._field_matrix({cell: 1.0}, 1.0))
 
     def phi_smeared(self, sm: SmearingFn) -> LocalOperator:
-        return self._from_coeffs(self.smeared_coeffs(sm))
+        f = self.field
+        return LocalOperator(self.space, self._field_matrix(sm.weights, f.dt * f.spacing))
 
 
 def fock_backend(f: FieldModel, modes: Sequence[int], cutoff: int) -> FockBackend:

@@ -63,7 +63,8 @@ def opnorm(a: np.ndarray) -> float:
 
 
 def herm_defect(a: np.ndarray) -> float:
-    return opnorm(a - dag(a))
+    """||a - a^dag||_2, the largest |eigenvalue| of the Hermitian i (a - a^dag)."""
+    return float(np.abs(np.linalg.eigvalsh(1j * (a - dag(a)))).max(initial=0.0))
 
 
 def projector_defect(m: np.ndarray) -> tuple[float, float]:

@@ -822,6 +822,16 @@ def test_threads_below_one_refused_at_parse_time(tmp_path, capsys, threads):
     assert not (tmp_path / "borsten_qubit.report.json").exists()
 
 
+def test_check_has_no_format_option(tmp_path, capsys):
+    # no check suite writes a data file, so `check` does not take --format
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(PRESETS / "fuksa_family.json"), "--suite", "fuksa",
+              "--format", "json", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("overrides", [[{"tol.trace": 1e-3}], {"tol.trace": None},
                                        {"tol.trace": True}],
                          ids=["list", "null", "bool"])

@@ -26,6 +26,8 @@ from causalq.qops import dag, opnorm, sigma_x, sigma_y
 from causalq.random_ops import random_density
 from causalq.serial import build_tripartite, load_document
 
+from fock_oracles import embedded_generators
+
 F12 = FieldModel(0.0, 12, steps=8)
 FB12 = fock_backend(F12, [3, -3], 3)
 F8 = FieldModel(0.0, 8)
@@ -416,7 +418,7 @@ def _dense_order_count(kick, a, b, fb, d_b, rho_a, rho_b, max_order):
     sp = joint_space(fb, dets)
     gen_k = qops._embed_matrix(fb.phi_smeared(kick).matrix, fb.space.labels, sp)
     out = _power_exp([(0, 1j * gen_k)], max_order)
-    for _, gens in sorted(_interaction_generators(dets, fb, sp).items()):
+    for _, gens in sorted(embedded_generators(dets, fb, sp).items()):
         out = _power_exp([(v + offset, g) for v, g in gens], max_order) @ out
     states = [rho_b] if a is None else [rho_a, rho_b]
     rho0 = MatrixPoly.constant(joint_state(fb, states), 3, max_order)
@@ -459,6 +461,65 @@ def test_tripartite_columns_match_dense_oracle(kick, bridge, fb, d_b, rho_a,
     assert set(got) == set(want) == set(range(1, order + 1))
     assert max(abs(got[k] - want[k]) for k in got) <= 1e-12
     assert max(want.values()) > 1e-3  # the comparison is not between zeros
+
+
+def _generator_cases():
+    # (detectors, modes, cutoff): 1-2 detectors, 1-3 modes, cutoffs 1-4,
+    # box and truncated-Gaussian switchings and smearings
+    rng = np.random.default_rng(2793)
+    shapes = [(1, 1, 1), (2, 1, 4), (1, 2, 3), (2, 2, 2), (1, 3, 4), (2, 3, 1),
+              (2, 2, 4), (1, 3, 2)]
+    cases = []
+    for k, (ndet, nmodes, cutoff) in enumerate(shapes):
+        modes = rng.choice([1, 2, 3, 4, 5, -1, -2, -3, -4, -5], nmodes, replace=False)
+        dets = []
+        for label in "AB"[:ndet]:
+            gap, lo, site = rng.uniform(0.1, 1.5), int(rng.integers(1, 5)), int(rng.integers(3, 8))
+            if k % 2:
+                dets.append(DetectorSpec(label, gap, 1.0,
+                                         gaussian_profile(lo + 1, 0.7, cut=2.0),
+                                         gaussian_profile(site, 0.8, cut=3.0)))
+            else:
+                dets.append(DetectorSpec(label, gap, 1.0, box_profile(lo, lo + 2),
+                                         box_profile(site - 1, site + 1, 0.6)))
+        cases.append((dets, fock_backend(F12, modes.tolist(), cutoff)))
+    return cases
+
+
+@pytest.mark.parametrize("dets, fb", _generator_cases())
+def test_interaction_generators_match_embedded_product(dets, fb):
+    sp = joint_space(fb, dets)
+    got = _interaction_generators(dets, fb, sp)
+    want = embedded_generators(dets, fb, sp)
+    assert got.keys() == want.keys()
+    for n in got:
+        assert [v for v, _ in got[n]] == [v for v, _ in want[n]]
+        assert max(opnorm(g - h) for (_, g), (_, h) in zip(got[n], want[n])) <= 1e-12
+
+
+def test_interaction_generators_place_each_step_once(monkeypatch):
+    fb = fock_backend(F12, [3, -3, 5], 2)
+    dets = [BRIDGE, RECEIVER]
+    sp = joint_space(fb, dets)
+    placed = []
+    embed = qops._embed_matrix
+    monkeypatch.setattr("causalq.detectors._embed_matrix",
+                        lambda op, labels, sp: placed.append(list(labels))
+                        or embed(op, labels, sp))
+
+    def reembed(*args):
+        raise AssertionError("ladder operator embedded again")
+    monkeypatch.setattr("causalq.field._embed_matrix", reembed)
+    _interaction_generators(dets, fb, sp)
+    assert placed == [["A", "m3", "m-3", "m5"]] * 2 + [["B", "m3", "m-3", "m5"]]
+
+
+def test_tripartite_table_builds_no_kernel_tables():
+    doc = load_document(Path(__file__).resolve().parents[1] / "presets"
+                        / "tripartite_orders.json")
+    kick, bridge, receiver, fb, order = build_tripartite(doc)
+    tripartite_order_count(kick, bridge, receiver, fb, sigma_x, GROUND, GROUND, order)
+    assert not {"_wtab", "_ctab"} & vars(fb.field).keys()
 
 
 def test_tripartite_forms_no_density_series(monkeypatch):

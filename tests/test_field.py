@@ -6,6 +6,8 @@ from causalq.causal import cells
 from causalq import qops as q
 from causalq.errors import OutOfWindow, TruncationTooLarge
 
+from fock_oracles import ladder_field
+
 
 @pytest.fixture(scope="module")
 def f0():
@@ -15,6 +17,18 @@ def f0():
 @pytest.fixture(scope="module")
 def fm():
     return F.FieldModel(mass=0.5, sites=64, spacing=1.0, steps=64)
+
+
+def test_kernel_tables_built_on_first_read():
+    f = F.FieldModel(0.0, 12, steps=8)
+    assert not {"_wtab", "_ctab"} & vars(f).keys()
+    F.commutator(f, (3, 1), (0, 0))  # massless: the wave recursion alone
+    assert "_ctab" in vars(f) and "_wtab" not in vars(f)
+    F.wightman(f, (3, 1), (0, 0))
+    assert "_wtab" in vars(f)
+    fm = F.FieldModel(0.5, 12, steps=8)
+    F.commutator(fm, (3, 1), (0, 0))  # massive: read off the Wightman table
+    assert {"_wtab", "_ctab"} <= vars(fm).keys()
 
 
 def test_model_validation():
@@ -258,6 +272,34 @@ def test_fock_phi_hermitian(f0):
     fb = F.fock_backend(f0, [2], 3)
     phi = fb.phi_at((4, 10)).matrix
     assert q.herm_defect(phi) < 1e-14
+
+
+@pytest.mark.parametrize("modes, cutoff", [([2], 1), ([2, -2], 4), ([3, -5, 7], 2),
+                                           ([1, 5, -9], 4), ([-30], 3)])
+def test_fock_field_matrices_match_per_call_ladders(f0, modes, cutoff):
+    fb = F.fock_backend(f0, modes, cutoff)
+    for sm in (F.box_smearing(f0, 0, 2, 2, 4), F.gaussian_smearing(f0, (6, 30), 1.0, 1.5)):
+        want = ladder_field(fb, sm.weights, f0.dt * f0.spacing)
+        assert q.opnorm(fb.phi_smeared(sm).matrix - want) <= 1e-12
+    for x in ((0, 0), (4, 10), (64, 63)):
+        assert q.opnorm(fb.phi_at(x).matrix - ladder_field(fb, {x: 1.0}, 1.0)) <= 1e-12
+
+
+def test_fock_ladders_embedded_once_per_backend(f0, monkeypatch):
+    placed = []
+    embed = F._embed_matrix
+    monkeypatch.setattr(F, "_embed_matrix",
+                        lambda op, labels, sp: placed.append(list(labels))
+                        or embed(op, labels, sp))
+    fb = F.fock_backend(f0, [2, -2, 5], 3)
+    assert placed == [["m2"], ["m-2"], ["m5"]]
+    fb.phi_at((4, 10))
+    fb.phi_smeared(F.box_smearing(f0, 0, 2, 2, 4))
+    a, n = fb.annihilation(5).matrix, fb.number(-2).matrix
+    assert len(placed) == 3
+    low = np.diag(np.sqrt(np.arange(1, 4)), 1)
+    assert np.array_equal(a, q.embed(low, "m5", fb.space).matrix)
+    assert np.array_equal(n, q.embed(low.T @ low, "m-2", fb.space).matrix)
 
 
 def test_fock_truncation_caps(f0):

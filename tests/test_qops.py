@@ -35,6 +35,18 @@ def test_space_shape_fixed_at_construction():
         q.qubit_space(*(f"q{i}" for i in range(64)))
 
 
+def test_herm_defect_is_the_skew_part_norm():
+    # the eigenvalue form against the largest singular value of a - a^dag
+    rng = np.random.default_rng(6502)
+    for dim in (1, 2, 5, 16, 64):
+        for eps in (1e-2, 1e-8, 1e-13):
+            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            m = ro.random_hermitian(dim, rng) + eps * g
+            want = q.opnorm(m - q.dag(m))
+            assert abs(q.herm_defect(m) - want) <= 1e-12 * want
+    assert q.herm_defect(ro.random_hermitian(8, rng)) == 0.0
+
+
 def test_embed_sigma_x_first_factor():
     op = q.embed(q.sigma_x, "A", AB)
     assert np.allclose(op.matrix, np.kron(q.sigma_x, np.eye(2)))

@@ -6,9 +6,12 @@ reach it.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
+
+from causalq.config import DEFAULT, Tolerances, with_overrides
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "causalq"
 
@@ -34,3 +37,13 @@ def test_no_literal_threshold_in_comparisons(path):
              for operand in (node.left, *node.comparators)
              for lit in _small_literals(operand)]
     assert not found, f"{path.name} compares against literal thresholds: {found}"
+
+
+def test_every_tolerance_field_is_overridable():
+    for f in dataclasses.fields(Tolerances):
+        tol = with_overrides({f"tol.{f.name}": 0.125})
+        assert tol == DEFAULT.replace(**{f.name: 0.125})
+    with pytest.raises(ValueError, match="unknown tolerance key 'tol.nope'"):
+        with_overrides({"tol.nope": 1.0})
+    with pytest.raises(ValueError, match="unknown tolerance key 'hermitian'"):
+        with_overrides({"hermitian": 1.0})  # keys carry the "tol." prefix
