@@ -2,8 +2,9 @@
 
 Every vacuum two-point value (Wightman, commutator, retarded Green; pointwise,
 smeared, or on a few modes) comes from one primitive, `_two_point`, which
-reads mode-sum tables built on first read or, on a mode subset, the inner
-product of the per-mode field coefficients; smeared bilinears are plain
+evaluates the mode sum only at the offsets a call asks for (the massless
+commutator as an exact count of periodic images) or, on a mode subset, the
+inner product of the per-mode field coefficients; smeared bilinears are plain
 Riemann sums over lattice cells.  A truncated-Fock backend provides the same
 field content as operators, from the same coefficients and ladder operators
 embedded once per backend, for non-perturbative checks on a few modes.
@@ -25,7 +26,6 @@ is measured, never assumed zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
-from functools import cached_property
 from math import erf
 from typing import Mapping, Sequence
 
@@ -48,7 +48,7 @@ _DEGENERATE = 1e-14  # normalization frequencies at or below it: degenerate mode
 
 @dataclass(frozen=True, eq=False)
 class FieldModel:
-    """Periodic lattice model; kernel tables built on first read."""
+    """Periodic lattice model; kernels evaluated per call, at the offsets asked."""
     mass: float = 0.0
     sites: int = 64
     spacing: float = 1.0
@@ -88,45 +88,6 @@ class FieldModel:
     def _regular(self) -> np.ndarray:
         return self.norm_freq > _DEGENERATE
 
-    @cached_property
-    def _wtab(self) -> np.ndarray:
-        """Translation-invariant Wightman part, indexed [dn + steps, ds]."""
-        n, a = self.sites, self.spacing
-        dns = np.arange(-self.steps, self.steps + 1)
-        dss = np.arange(n)
-        reg = self._regular()
-        amp = np.zeros(n)
-        amp[reg] = 1.0 / (2 * self.norm_freq[reg] * n)
-        tpart = np.exp(-1j * np.outer(dns * a, self.phase_freq))
-        xpart = np.exp(1j * np.outer(self.theta, dss))
-        w = (tpart * amp) @ xpart
-        if self.mass == 0:
-            # state-independent secular parts of the two degenerate modes
-            sec = -0.5j * (dns * a) / n
-            w += sec[:, None]
-            if n % 2 == 0:
-                par = np.outer((-1.0) ** dns, (-1.0) ** dss)
-                w += (0.5j * (dns * a) / n)[:, None] * par
-        return w
-
-    @cached_property
-    def _ctab(self) -> np.ndarray:
-        """Commutator for dn >= 0, indexed [dn, ds]."""
-        n = self.sites
-        if self.mass == 0:
-            # exact kernel of the dt = a discrete wave recursion
-            d = np.zeros((self.steps + 1, n))
-            if self.steps >= 1:
-                d[1, 0] = 1.0
-            for t in range(1, self.steps):
-                d[t + 1] = np.roll(d[t], 1) + np.roll(d[t], -1) - d[t - 1]
-            return -1j * self.spacing * d
-        w = self._wtab
-        off = self.steps
-        fwd = w[off:, :]
-        rev = w[off::-1, :][:, (-np.arange(n)) % n]
-        return fwd - rev
-
     def _check_point(self, x: Point) -> Point:
         try:
             n, s = int(x[0]), int(x[1])
@@ -138,14 +99,48 @@ class FieldModel:
         return n, s
 
 
+def _wightman_part(f: FieldModel, dn: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    """Translation-invariant Wightman part at offsets (dn, ds), ds in [0, sites):
+    the regular-mode sum on the grid of distinct dn by distinct ds, then
+    gathered, plus the degenerate modes' secular parts when massless."""
+    n, a = f.sites, f.spacing
+    tu, ti = np.unique(dn, return_inverse=True)
+    xu, xi = np.unique(ds, return_inverse=True)
+    reg = f._regular()
+    amp = np.zeros(n)
+    amp[reg] = 1.0 / (2 * f.norm_freq[reg] * n)
+    grid = ((np.exp(-1j * np.outer(tu * a, f.phase_freq)) * amp)
+            @ np.exp(1j * np.outer(f.theta, xu)))
+    w = grid[ti.reshape(dn.shape), xi.reshape(ds.shape)]
+    if f.mass == 0:
+        sec = 0.5j * (dn * a) / n
+        w = w - sec
+        if n % 2 == 0:
+            w = w + sec * (-1.0) ** (dn + ds)
+    return w
+
+
+def _wave_kernel(f: FieldModel, dn: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    """Massless commutator at dn >= 0: -i a times the number of periodic images
+    x = ds + jN with |x| < dn and x + dn odd, the exact solution of the dt = a
+    wave recursion from a unit kick."""
+    n = f.sites
+    odd = (ds + dn) % 2 == 1
+    per = n * (1 + n % 2)              # period of the images of the right parity
+    r = np.where(odd, ds, ds + n)      # least such image >= 0 (only odd N shifts)
+    count = (dn - 1 - r) // per - (-dn - r) // per
+    return -1j * f.spacing * np.where(odd | (n % 2 == 1), count, 0)
+
+
 def _two_point(f: FieldModel, x, y, kind: str,
                modes: Sequence[int] | None = None) -> np.ndarray:
     """Vacuum Wightman or commutator between broadcast arrays of absolute
     points x = (n, s) and y = (n', s'); sites wrap periodically.
 
-    Without `modes` the values come from the cached tables, plus the regulated
-    zero-mode part when it is kept; with `modes` they are the inner product of
-    the per-mode field coefficients over those modes alone.
+    Without `modes` the mode sum is evaluated only at the offsets asked (the
+    massless commutator by its exact image count), plus the regulated zero-mode
+    part when it is kept; with `modes` the values are the inner product of the
+    per-mode field coefficients over those modes alone.
     """
     n, s, m, r = np.broadcast_arrays(*x, *y)
     if min(n.min(), m.min()) < 0 or max(n.max(), m.max()) > f.steps:
@@ -156,9 +151,12 @@ def _two_point(f: FieldModel, x, y, kind: str,
         return w if kind == "wightman" else w - np.conj(w)
     dn, ds = n - m, (s - r) % f.sites
     if kind == "commutator":
-        return np.where(dn >= 0, f._ctab[np.abs(dn), ds],
-                        -f._ctab[np.abs(dn), -ds % f.sites])
-    w = f._wtab[dn + f.steps, ds]
+        # evaluated at dn >= 0 and negated otherwise: exactly antisymmetric
+        p, q = np.abs(dn), np.where(dn >= 0, ds, -ds % f.sites)
+        k = (_wave_kernel(f, p, q) if f.mass == 0 else
+             _wightman_part(f, p, q) - _wightman_part(f, -p, -q % f.sites))
+        return np.where(dn >= 0, k, -k)
+    w = _wightman_part(f, dn, ds)
     if f.mass == 0 and not f.drop_zero_mode:
         w2 = f.ir_width ** 2
         real = w2 + (n * f.dt) * (m * f.dt) / (4 * w2)

@@ -1,9 +1,12 @@
-"""Truncated-Fock oracles built without `FockBackend`'s stored ladders.
+"""Oracles built independently of the package's field and Fock kernels.
 
 `ladder_field` embeds every lowering operator afresh on each call, and
 `embedded_generators` forms each coupling generator as the product of the
 separately embedded monopole and field slice, so both stay independent of the
-field matrices and generators that the package builds.
+field matrices and generators that the package builds.  `table_two_point`
+reads vacuum two-point values off whole-window tables: the Wightman part from
+one mode-sum matmul over every step offset, the massless commutator from the
+dt = a wave recursion run across the whole window.
 """
 import numpy as np
 
@@ -36,3 +39,51 @@ def embedded_generators(dets, fb, sp):
             phi = qops._embed_matrix(phi, fb.space.labels, sp)
             by_step.setdefault(n, []).append((v, -1j * f.dt * chi * (mu @ phi)))
     return by_step
+
+
+def kernel_tables(f):
+    """(W, C): the translation-invariant Wightman part indexed [dn + steps, ds]
+    and the commutator for dn >= 0 indexed [dn, ds], over the whole window."""
+    n, a = f.sites, f.spacing
+    dns = np.arange(-f.steps, f.steps + 1)
+    dss = np.arange(n)
+    reg = f._regular()
+    amp = np.zeros(n)
+    amp[reg] = 1.0 / (2 * f.norm_freq[reg] * n)
+    tpart = np.exp(-1j * np.outer(dns * a, f.phase_freq))
+    xpart = np.exp(1j * np.outer(f.theta, dss))
+    w = (tpart * amp) @ xpart
+    if f.mass == 0:
+        # state-independent secular parts of the two degenerate modes
+        w += (-0.5j * (dns * a) / n)[:, None]
+        if n % 2 == 0:
+            par = np.outer((-1.0) ** dns, (-1.0) ** dss)
+            w += (0.5j * (dns * a) / n)[:, None] * par
+        # exact kernel of the dt = a discrete wave recursion
+        d = np.zeros((f.steps + 1, n))
+        d[1, 0] = 1.0
+        for t in range(1, f.steps):
+            d[t + 1] = np.roll(d[t], 1) + np.roll(d[t], -1) - d[t - 1]
+        return w, -1j * a * d
+    fwd = w[f.steps:, :]
+    rev = w[f.steps::-1, :][:, (-dss) % n]
+    return w, fwd - rev
+
+
+def table_two_point(f, x, y, kind):
+    """Vacuum Wightman or commutator between broadcast arrays of absolute
+    points, looked up in `kernel_tables` (plus the regulated zero mode)."""
+    w_tab, c_tab = kernel_tables(f)
+    n, s, m, r = np.broadcast_arrays(*x, *y)
+    dn, ds = n - m, (s - r) % f.sites
+    if kind == "commutator":
+        return np.where(dn >= 0, c_tab[np.abs(dn), ds],
+                        -c_tab[np.abs(dn), -ds % f.sites])
+    w = w_tab[dn + f.steps, ds]
+    if f.mass == 0 and not f.drop_zero_mode:
+        w2 = f.ir_width ** 2
+        real = w2 + (n * f.dt) * (m * f.dt) / (4 * w2)
+        w = w + real / f.sites
+        if f.sites % 2 == 0:
+            w = w + real * (-1.0) ** (dn + ds) / f.sites
+    return w

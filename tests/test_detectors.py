@@ -1,4 +1,5 @@
 """Detector layer: perturbative split, scattering series, update rules."""
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -514,12 +515,32 @@ def test_interaction_generators_place_each_step_once(monkeypatch):
     assert placed == [["A", "m3", "m-3", "m5"]] * 2 + [["B", "m3", "m-3", "m5"]]
 
 
-def test_tripartite_table_builds_no_kernel_tables():
+def test_tripartite_table_calls_no_lattice_kernel(monkeypatch):
     doc = load_document(Path(__file__).resolve().parents[1] / "presets"
                         / "tripartite_orders.json")
     kick, bridge, receiver, fb, order = build_tripartite(doc)
-    tripartite_order_count(kick, bridge, receiver, fb, sigma_x, GROUND, GROUND, order)
-    assert not {"_wtab", "_ctab"} & vars(fb.field).keys()
+
+    def refuse(*args):
+        raise AssertionError("full-lattice two-point kernel evaluated")
+    for name in ("_wightman_part", "_wave_kernel"):
+        monkeypatch.setattr(f"causalq.field.{name}", refuse)
+    rep = tripartite_order_count(kick, bridge, receiver, fb, sigma_x, GROUND, GROUND, order)
+    assert abs(rep[4] - TRIPARTITE_ORDER4) < 1e-12
+
+
+@pytest.mark.parametrize("mass", [0.0, 0.3])
+def test_pair_split_builds_no_window_tables(mass):
+    f = FieldModel(mass, 1024, steps=1024)
+    a = DetectorSpec("A", 0.8, 0.5, {1: 1.0, 2: 1.0}, {0: 1.0, 1: 1.0})
+    b = DetectorSpec("B", 0.6, 0.4, {900: 1.0}, {40: 1.0, 41: 1.0})
+    tracemalloc.start()
+    try:
+        ps = signal_noise_split(a, b, f, PLUS, GROUND)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace_norm(ps.signal) > 0
+    assert peak < 4 * 2 ** 20      # one (2 steps + 1) x sites table is 33 MB
 
 
 def test_tripartite_forms_no_density_series(monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from causalq.causal import cells
 from causalq import qops as q
 from causalq.errors import OutOfWindow, TruncationTooLarge
 
-from fock_oracles import ladder_field
+from fock_oracles import ladder_field, table_two_point
 
 
 @pytest.fixture(scope="module")
@@ -19,16 +21,56 @@ def fm():
     return F.FieldModel(mass=0.5, sites=64, spacing=1.0, steps=64)
 
 
-def test_kernel_tables_built_on_first_read():
-    f = F.FieldModel(0.0, 12, steps=8)
-    assert not {"_wtab", "_ctab"} & vars(f).keys()
-    F.commutator(f, (3, 1), (0, 0))  # massless: the wave recursion alone
-    assert "_ctab" in vars(f) and "_wtab" not in vars(f)
-    F.wightman(f, (3, 1), (0, 0))
-    assert "_wtab" in vars(f)
-    fm = F.FieldModel(0.5, 12, steps=8)
-    F.commutator(fm, (3, 1), (0, 0))  # massive: read off the Wightman table
-    assert {"_wtab", "_ctab"} <= vars(fm).keys()
+@pytest.mark.parametrize("sites", [8, 9, 12, 64])
+@pytest.mark.parametrize("spacing", [1.0, 0.5])
+@pytest.mark.parametrize("short", [True, False])
+def test_two_point_matches_whole_window_tables(sites, spacing, short):
+    steps = max(1, sites // 2 - 1) if short else 2 * sites + 3
+    n, s = np.arange(steps + 1)[:, None], np.arange(sites)
+    for mass, drop in ((0.0, True), (0.0, False), (0.3, True)):
+        f = F.FieldModel(mass, sites, spacing, steps, drop_zero_mode=drop)
+        for y in ((0, 0), (steps, sites - 1), (steps // 2, 3)):   # dn of both signs
+            c = F._two_point(f, (n, s), y, "commutator")
+            want = table_two_point(f, (n, s), y, "commutator")
+            if mass == 0:
+                assert np.array_equal(c, want)
+            else:
+                assert np.abs(c - want).max() <= 1e-12
+            w = F._two_point(f, (n, s), y, "wightman")
+            assert np.abs(w - table_two_point(f, (n, s), y, "wightman")).max() <= 1e-12
+
+
+@pytest.mark.parametrize("sites", [8, 9, 12, 13, 64])
+def test_massless_periodic_support_rule(sites):
+    """-i a times #{j : |ds + jN| <= dn - 1, dn + ds + jN odd}, overlaps included."""
+    f = F.FieldModel(0.0, sites, spacing=0.5, steps=sites + 1)
+    count = np.zeros((f.steps + 1, sites), dtype=int)
+    for dn in range(f.steps + 1):
+        for ds in range(sites):
+            count[dn, ds] = sum(abs(ds + j * sites) <= dn - 1 and (dn + ds + j * sites) % 2
+                                for j in range(-3, 4))
+    k = F._two_point(f, (np.arange(f.steps + 1)[:, None], np.arange(sites)), (0, 0),
+                     "commutator")
+    assert np.array_equal(k, -1j * f.spacing * count)
+    # images of the right parity repeat every N for even N but every 2N for odd N
+    inside = count[:sites + 1].max()
+    assert inside == (2 if sites % 2 == 0 else 1)
+    if sites == 8:
+        assert count[9, 0] == 3 and F.commutator(f, (9, 0), (0, 0)) == -1.5j
+
+
+def test_pointwise_kernels_build_no_window_tables():
+    f0 = F.FieldModel(0.0, 1024, steps=1024)
+    fm = F.FieldModel(0.3, 1024, steps=1024)
+    tracemalloc.start()
+    try:
+        for f in (f0, fm):
+            F.commutator(f, (1000, 700), (3, 5))
+            F.wightman(f, (1000, 700), (3, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20      # one (2 steps + 1) x sites table is 33 MB
 
 
 def test_model_validation():
