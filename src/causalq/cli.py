@@ -173,7 +173,7 @@ def _exec_fv(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
         c, probe = cnot_preset(tol)
         sm = scattering_map(c, probe)
         eps = induced_observable(sm, np.diag([0.0, 1.0]).astype(complex), tol=tol)
-        target = np.kron(np.diag([0.0, 1.0]), np.eye(2))
+        target = np.diag([0.0, 0.0, 1.0, 1.0])
         resid = float(opnorm(eps - target))
         rep.residuals["fv.induced.residual"] = resid
         rep.checks.append(CheckResult("fv.induced", resid <= tol.operator, resid))

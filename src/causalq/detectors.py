@@ -5,7 +5,8 @@ steps, and a spatial smearing profile over sites; the interaction at step n is
 lambda * chi(n) * mu(t_n) (x) phi(F, n) with mu the interaction-picture
 monopole and phi(F, n) the spatially smeared field on that slice.
 
-Three layers of machinery share this interaction:
+Three layers of machinery share this interaction, each coupling gate kept on
+its own factors (detector and modes) and applied on their axes:
 
 * closed-form second-order perturbation theory against the lattice vacuum,
   giving the reduced state of a second detector split into a signal term
@@ -26,6 +27,7 @@ kick-dependent coefficients of a B observable are reported order by order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
+from itertools import accumulate
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -36,9 +38,9 @@ from .config import DEFAULT, Tolerances
 from .errors import (CausalqError, NotCausallyOrderable, NotHermitian,
                      NotSorkinType, ValidationError)
 from .field import FieldModel, FockBackend, SmearingFn, _two_point
-from .qops import (LocalOperator, ProductSpace, _embed_matrix, check_density,
-                   commutator, dag, expih, is_hermitian, opnorm, select_outcome,
-                   sigma_m, sigma_p)
+from .qops import (LocalOperator, ProductSpace, _apply_matrix, _embed_matrix,
+                   check_density, commutator, dag, expih, is_hermitian, opnorm,
+                   select_outcome, sigma_m, sigma_p)
 
 __all__ = [
     "DetectorSpec", "PerturbativeState", "FactorizationResult", "MatrixPoly",
@@ -239,6 +241,15 @@ def sigma_operator(a: DetectorSpec, b: DetectorSpec, f: FieldModel,
 
 # exact and series scattering operators on a truncated Fock backend
 
+Gate = tuple[int, Sequence[str], np.ndarray]   # (variable, factor labels, matrix)
+
+
+def _columns(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, list[slice]]:
+    """The matrices side by side, and the column slice of each."""
+    ends = list(accumulate(m.shape[1] for m in mats))
+    return np.hstack(mats), [slice(lo, hi) for lo, hi in zip([0, *ends], ends)]
+
+
 class MatrixPoly:
     """Polynomial in formal coupling variables with matrix coefficients,
     truncated at a fixed total degree."""
@@ -257,25 +268,23 @@ class MatrixPoly:
         e = (0,) * nvars
         return cls(nvars, m.shape[0], degree, {e: m.astype(complex)})
 
-    @classmethod
-    def exp_linear(cls, gens: Sequence[tuple[int, np.ndarray]], nvars: int,
-                   degree: int) -> "MatrixPoly":
-        """Truncated series of exp(sum_v lambda_v G_v)."""
-        return cls.constant(np.eye(gens[0][1].shape[0]), nvars, degree).exp_apply(gens)
-
-    def exp_apply(self, gens: Sequence[tuple[int, np.ndarray]]) -> "MatrixPoly":
-        """Truncated exp(sum_v lambda_v G_v) @ self, summed as x <- G x / k, so
-        a series of d x r columns costs one d x d x r product per term."""
+    def exp_apply(self, gates: Sequence[Gate], sp: ProductSpace) -> "MatrixPoly":
+        """Truncated exp(sum_v lambda_v G_v) @ self, summed as x <- G x / k, for
+        gates (v, labels, g) with g on the factors `labels` of `sp`.  Per degree
+        the terms below the top degree are set side by side, so each gate is
+        one `_apply_matrix` call: O(d r g) per d x r term, g the gate dimension."""
         out, x = dict(self.terms), self.terms
         for k in range(1, self.degree + 1):
+            live = [e for e in x if sum(e) < self.degree]
+            if not live:
+                break
+            stack, cols = _columns([x[e] for e in live])
+            ys = [(v, _apply_matrix(g, labels, sp, stack) / k) for v, labels, g in gates]
             nxt: dict[tuple[int, ...], np.ndarray] = {}
-            for e, m in x.items():
-                if sum(e) == self.degree:
-                    continue
-                for v, g in gens:
+            for e, c in zip(live, cols):
+                for v, y in ys:
                     e2 = e[:v] + (e[v] + 1,) + e[v + 1:]
-                    prod = g @ m / k
-                    nxt[e2] = nxt[e2] + prod if e2 in nxt else prod
+                    nxt[e2] = nxt[e2] + y[:, c] if e2 in nxt else y[:, c]
             x = nxt
             for e, m in x.items():
                 out[e] = out[e] + m if e in out else m
@@ -320,19 +329,20 @@ def joint_state(fb: FockBackend, det_states: Sequence[np.ndarray]) -> np.ndarray
     return np.kron(rho, np.outer(vac, vac.conj()))
 
 
-def _interaction_generators(dets: Sequence[DetectorSpec], fb: FockBackend,
-                            sp: ProductSpace):
-    """Per-step list of (detector index, -i dt H / lambda) generator matrices;
-    the couplings lambda are left out.  Each is mu(t_n) (x) phi_n, with phi_n
-    = a sum_s F(s) phi(n, s), placed on the detector and mode factors at once."""
+def _interaction_generators(dets: Sequence[DetectorSpec],
+                            fb: FockBackend) -> dict[int, list[Gate]]:
+    """Per-step list of gates (detector index, [label, *mode labels], -i dt H /
+    lambda); the couplings lambda are left out.  Each matrix is mu(t_n) (x)
+    phi_n, with phi_n = a sum_s F(s) phi(n, s), on the detector and mode
+    factors only: nothing is placed on the joint space."""
     f = fb.field
-    by_step: dict[int, list[tuple[int, np.ndarray]]] = {}
+    by_step: dict[int, list[Gate]] = {}
     for v, d in enumerate(dets):
         labels = [d.label, *fb.space.labels]
         for n, chi in d.switching.items():
             phi = fb._field_matrix({(n, s): w for s, w in d.smearing.items()}, f.spacing)
             g = -1j * f.dt * chi * np.kron(d.mu(n * f.dt), phi)
-            by_step.setdefault(n, []).append((v, _embed_matrix(g, labels, sp)))
+            by_step.setdefault(n, []).append((v, labels, g))
     return by_step
 
 
@@ -340,11 +350,12 @@ def scattering_operator(dets: Sequence[DetectorSpec], fb: FockBackend) -> LocalO
     """Step-ordered product of per-step matrix exponentials over the
     detectors' switching window (unitary up to truncation edge effects)."""
     sp = joint_space(fb, dets)
-    by_step = _interaction_generators(dets, fb, sp)
+    by_step = _interaction_generators(dets, fb)
     s = np.eye(sp.dim, dtype=complex)
     for n in sorted(by_step):
         # each generator is -i K with K = dt lambda chi mu phi Hermitian
-        k = 1j * sum(dets[v].coupling * m for v, m in by_step[n])
+        k = 1j * sum(dets[v].coupling * _embed_matrix(g, labels, sp)
+                     for v, labels, g in by_step[n])
         s = expih(k, -1.0) @ s
     return LocalOperator(sp, s)
 
@@ -354,11 +365,10 @@ def scattering_series(dets: Sequence[DetectorSpec], fb: FockBackend,
     """Coupling power series of the propagator product; one variable per
     detector, couplings factored out (evaluate with the lambda values)."""
     sp = joint_space(fb, dets)
-    by_step = _interaction_generators(dets, fb, sp)
-    nv = len(dets)
-    out = MatrixPoly.constant(np.eye(sp.dim), nv, order)
+    by_step = _interaction_generators(dets, fb)
+    out = MatrixPoly.constant(np.eye(sp.dim), len(dets), order)
     for n in sorted(by_step):
-        out = out.exp_apply(by_step[n])
+        out = out.exp_apply(by_step[n], sp)
     return out
 
 
@@ -381,12 +391,12 @@ def causal_factorization_check(a: DetectorSpec, b: DetectorSpec,
         raise NotCausallyOrderable(
             f"region of {b.label!r} meets the past of {a.label!r}")
     sp = joint_space(fb, [a, b])
-    modes = list(fb.space.labels)
-    s_ab = scattering_operator([a, b], fb).matrix
-    sa = _embed_matrix(scattering_operator([a], fb).matrix, [a.label] + modes, sp)
-    sb = _embed_matrix(scattering_operator([b], fb).matrix, [b.label] + modes, sp)
-    res = opnorm(s_ab - sb @ sa)
-    comm = opnorm(sa @ sb - sb @ sa) if spacelike(ra, rb) else None
+    (sa, la), (sb, lb) = ((scattering_operator([d], fb).matrix,
+                           [d.label, *fb.space.labels]) for d in (a, b))
+    sb_sa = _apply_matrix(sb, lb, sp, _embed_matrix(sa, la, sp))
+    res = opnorm(scattering_operator([a, b], fb).matrix - sb_sa)
+    comm = (opnorm(_apply_matrix(sa, la, sp, _embed_matrix(sb, lb, sp)) - sb_sa)
+            if spacelike(ra, rb) else None)
     return FactorizationResult(res, comm)
 
 
@@ -411,8 +421,9 @@ def tripartite_order_count(kick: SmearingFn, a: DetectorSpec | None,
 
     No density matrix series is formed: rho0 = W W^dag with W = sqrt(rho_A)
     (x) sqrt(rho_B) (x) |vac> of at most four columns, whose series U W goes
-    through the kick and every step by `MatrixPoly.exp_apply`; the coefficient
-    at exponent e is c_e = sum_{e1+e2=e} tr((U_e2 W)^dag D_B U_e1 W).
+    through the kick and every step by `MatrixPoly.exp_apply`; D_B acts on
+    B's factor of all those columns at once, and the coefficient at exponent
+    e is c_e = sum_{e1+e2=e} tr((U_e2 W)^dag D_B U_e1 W).
     """
     f = fb.field
     if a is not None:
@@ -434,18 +445,20 @@ def tripartite_order_count(kick: SmearingFn, a: DetectorSpec | None,
         ev, u = np.linalg.eigh(check_density(rho, 2, tol, what))
         w = np.kron(u[:, ev > 0] * np.sqrt(ev[ev > 0]), w)  # W W^dag = rho
     sp = joint_space(fb, dets)
-    gen_k = _embed_matrix(fb.phi_smeared(kick).matrix, fb.space.labels, sp)
-    by_step = _interaction_generators(dets, fb, sp)
+    by_step = _interaction_generators(dets, fb)
     # series variables 0, 1, 2 are the kick, A and B couplings
-    cols = MatrixPoly.constant(w, 3, max_order).exp_apply([(0, 1j * gen_k)])
+    kick_gate = (0, fb.space.labels, 1j * fb.phi_smeared(kick).matrix)
+    cols = MatrixPoly.constant(w, 3, max_order).exp_apply([kick_gate], sp)
     for n in sorted(by_step):
         if n <= kick_step:
             raise ValueError("detector switchings must follow the kick step")
-        cols = cols.exp_apply([(v + 3 - len(dets), g) for v, g in by_step[n]])
-    db = MatrixPoly.constant(
-        _embed_matrix(np.asarray(d_b, dtype=complex), [b.label], sp), 3, max_order)
+        cols = cols.exp_apply([(v + 3 - len(dets), labels, g)
+                               for v, labels, g in by_step[n]], sp)
+    stack, where = _columns(list(cols.terms.values()))
+    y = _apply_matrix(d_b, [b.label], sp, stack)
+    db = MatrixPoly(3, sp.dim, max_order, {e: y[:, c] for e, c in zip(cols.terms, where)})
     report: dict[int, float] = {k: 0.0 for k in range(1, max_order + 1)}
-    for e, m in (cols.dagger() @ (db @ cols)).terms.items():
+    for e, m in (cols.dagger() @ db).terms.items():
         if e[0]:  # the product keeps total orders up to max_order
             report[sum(e)] = max(report[sum(e)], abs(complex(np.trace(m))))
     return report
@@ -462,7 +475,7 @@ def detector_update_selective(rho_joint: np.ndarray, s1: np.ndarray, p2: np.ndar
     """
     if t1 is not None and t2 is not None and t2 < t1:
         raise ValueError("selection must not precede switch-off")
-    proj = np.kron(p2, np.eye(len(rho_joint) // 2))
+    proj = _embed_matrix(p2, ["d"], ProductSpace((("d", 2), ("f", len(s1) // 2))))
     return select_outcome(proj, s1 @ rho_joint @ dag(s1), tol)
 
 

@@ -47,7 +47,7 @@ from .causal import CellRegion, cells, cone_meets, spacelike
 from .config import DEFAULT, Tolerances
 from .errors import (CouplingOutsideK, DimensionMismatch, GeometryViolation,
                      NotCausallyOrderable, UnknownLabel, ZeroProbability)
-from .qops import (ProductSpace, _apply_matrix, _ptrace_matrix,
+from .qops import (ProductSpace, _apply_matrix, _embed_matrix, _ptrace_matrix,
                    _support_defect, check_density, check_effect,
                    check_unitary, dag, opnorm, space)
 from .random_ops import haar_unitary, random_density, random_hermitian
@@ -250,8 +250,7 @@ def _widen(sp: ProductSpace, labels: Sequence[str], m: np.ndarray,
     """``m`` on the factors ``labels`` as a matrix on ``wider``, a superset."""
     if len(labels) == len(wider):
         return m
-    sub = sp.restricted(wider)
-    return _apply_matrix(m, labels, sub, np.eye(sub.dim, dtype=complex))
+    return _embed_matrix(m, labels, sp.restricted(wider))
 
 
 def _conjugate_on(sp: ProductSpace, labels: tuple, m: np.ndarray,

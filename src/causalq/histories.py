@@ -15,9 +15,8 @@ with the EARLIEST step rightmost,
 i.e. the operator that acts first on a ket.  Probabilities are
 p = tr(C rho C^dag) and the decoherence functional is
 d(alpha, beta) = tr(C_alpha rho C_beta^dag); both agree with the
-earliest-leftmost form after transposition.  `class_operator` takes a
-`convention` switch that returns the earliest-leftmost product (the adjoint
-chain) for cross-checks against that notation.
+earliest-leftmost form after transposition.  The earliest-leftmost product
+P_1(t_1) ... P_n(t_n) is the adjoint chain, dag(class_operator(h).matrix).
 
 The bipartite and tripartite no-signalling checks quantify when a projective
 measurement (or a unitary kick) in the first region leaves later marginal or
@@ -134,18 +133,11 @@ class History:
         return self.steps[0].projector.space
 
 
-def class_operator(h: History, convention: str = "earliest-right") -> LocalOperator:
-    """Time-ordered product of the (Heisenberg) step projectors.
-
-    "earliest-right" gives C = P_n(t_n)...P_1(t_1), the map applied to kets;
-    "earliest-left" gives the transposed chain P_1(t_1)...P_n(t_n) used by
-    some authors.  Probabilities are convention-independent.
-    """
-    if convention not in ("earliest-right", "earliest-left"):
-        raise ValueError(f"unknown ordering convention {convention!r}")
+def class_operator(h: History) -> LocalOperator:
+    """Time-ordered product C = P_n(t_n)...P_1(t_1) of the (Heisenberg) step
+    projectors, earliest rightmost; the earliest-leftmost chain P_1...P_n of
+    some authors is its adjoint, dag(class_operator(h).matrix)."""
     levels = [_heisenberg([proj.matrix], t, h.hamiltonian) for proj, _, t in h.steps]
-    if convention == "earliest-left":
-        levels.reverse()
     return LocalOperator(h.space, _chains(levels, h.space.dim)[0])
 
 

@@ -6,6 +6,8 @@ dimension is capped at 2**14, which covers every scenario in this package.
 
 Every module builds on one primitive per idea, each working on plain arrays:
 
+* `_apply_matrix(op, labels, sp, m)`: placement, op on the factors `labels`
+  applied to m on their axes (`embed` applies it to the identity);
 * `expih(h, t)`: the Hermitian exponential exp(i t h), from one `eigh`;
 * `luders_sum(projectors, x)`: the non-selective Lueders sum sum_n P_n x P_n;
 * `select_outcome(p, rho, tol)`: the selective step (P rho P / w, w);
@@ -234,75 +236,68 @@ class LocalOperator:
 def _support_defect(m: np.ndarray, sp: ProductSpace, support: frozenset) -> float:
     """Distance from `m` to (operator on support) x (identity elsewhere)."""
     sup_labels = [l for l in sp.labels if l in support]
-    rest = [l for l in sp.labels if l not in support]
-    if not rest:
+    if len(sup_labels) == len(sp.labels):
         return 0.0
-    d_rest = int(np.prod([sp.dim_of(l) for l in rest], dtype=np.int64))
+    d_rest = sp.dim // prod(sp.dim_of(l) for l in sup_labels)
     restricted = _ptrace_matrix(m, sp, sup_labels) / d_rest
-    rebuilt = _embed_matrix(restricted, sup_labels, sp)
-    return opnorm(m - rebuilt)
-
-
-def _embed_matrix(op: np.ndarray, target_labels: Sequence[str], sp: ProductSpace) -> np.ndarray:
-    targets = list(target_labels)
-    rest = [l for l in sp.labels if l not in targets]
-    d_t = int(np.prod([sp.dim_of(l) for l in targets], dtype=np.int64))
-    if op.shape != (d_t, d_t):
-        raise DimensionMismatch(
-            f"operator shape {op.shape} != target factor dim {d_t}")
-    d_r = int(np.prod([sp.dim_of(l) for l in rest], dtype=np.int64))
-    big = np.kron(op, np.eye(d_r, dtype=complex))
-    current = targets + rest
-    if current == list(sp.labels):
-        return big
-    cur_dims = [sp.dim_of(l) for l in current]
-    n = len(current)
-    perm = [current.index(l) for l in sp.labels]
-    t = big.reshape(cur_dims + cur_dims)
-    t = t.transpose(perm + [p + n for p in perm])
-    return np.ascontiguousarray(t.reshape(sp.dim, sp.dim))
+    return opnorm(m - _embed_matrix(restricted, sup_labels, sp))
 
 
 def _apply_matrix(op: np.ndarray, target_labels: Sequence[str], sp: ProductSpace,
                   m: np.ndarray) -> np.ndarray:
-    """``_embed_matrix(op, target_labels, sp) @ m`` in O(dim^2 d_t), not O(dim^3).
+    """``op`` on the factors ``target_labels`` of ``sp`` (identity elsewhere)
+    times ``m``, in O(dim^2 d_t) and without forming the dim x dim operator.
 
     Rows of ``m`` are split into blocks (A0, t1, A1, .., tk, rest) around the
     targets, which are gathered in ``op``'s order for one batched matmul;
     adjacent ascending targets need no copy.  Callers validate ``op``.
     """
+    dims = sp.dims
     axes = [sp.index(l) for l in target_labels]
-    d_t = int(np.prod([sp.dims[i] for i in axes], dtype=np.int64))
+    if axes == list(range(len(dims))):
+        return op @ m
+    order = sorted(axes)
     shape, prev = [], 0
-    for a in sorted(axes):
-        shape += [int(np.prod(sp.dims[prev:a], dtype=np.int64)), sp.dims[a]]
+    for a in order:
+        shape += [prod(dims[prev:a]), dims[a]]
         prev = a + 1
     k = len(axes)
-    perm = [*range(0, 2 * k, 2), *(2 * sorted(axes).index(a) + 1 for a in axes), 2 * k]
+    perm = [*range(0, 2 * k, 2), *(2 * order.index(a) + 1 for a in axes), 2 * k]
     x = m.reshape(shape + [-1]).transpose(perm)
-    y = op @ x.reshape(-1, d_t, x.shape[-1])
-    return y.reshape(x.shape).transpose(np.argsort(perm)).reshape(m.shape)
+    y = op @ x.reshape(-1, prod(dims[a] for a in axes), x.shape[-1])
+    inv = sorted(range(len(perm)), key=perm.__getitem__)
+    return y.reshape(x.shape).transpose(inv).reshape(m.shape)
+
+
+def _embed_matrix(op: np.ndarray, target_labels: Sequence[str],
+                  sp: ProductSpace) -> np.ndarray:
+    """``op`` on the factors ``target_labels``, identity elsewhere, as a dim x dim
+    matrix: ``op`` itself when the targets are the whole space in order."""
+    if list(target_labels) == list(sp.labels):
+        return op
+    return _apply_matrix(op, target_labels, sp, np.eye(sp.dim, dtype=complex))
 
 
 def embed(op, target_labels: Sequence[str] | str, sp: ProductSpace) -> LocalOperator:
     """Place `op` on the named factors, identity elsewhere."""
     if isinstance(target_labels, str):
         target_labels = [target_labels]
-    m = _embed_matrix(_as_matrix(op), target_labels, sp)
-    return LocalOperator(sp, m, frozenset(target_labels))
+    op = _as_matrix(op)
+    d_t = sp.restricted(target_labels).dim   # refuses unknown or repeated labels
+    if op.shape != (d_t, d_t):
+        raise DimensionMismatch(
+            f"operator shape {op.shape} != target factor dim {d_t}")
+    return LocalOperator(sp, _embed_matrix(op, target_labels, sp),
+                         frozenset(target_labels))
 
 
 def _ptrace_matrix(m: np.ndarray, sp: ProductSpace, keep: Sequence[str]) -> np.ndarray:
-    dims = list(sp.dims)
-    n = len(dims)
-    labels = sp.labels
+    dims, n = list(sp.dims), len(sp.dims)
     keep_idx = [sp.index(l) for l in keep]
-    t = m.reshape(dims + dims)
-    row = list(range(n))
-    col = [i if i not in keep_idx else n + i for i in range(n)]
-    out = [i for i in keep_idx] + [n + i for i in keep_idx]
-    red = np.einsum(t, row + col, out)
-    d = int(np.prod([dims[i] for i in keep_idx], dtype=np.int64))
+    col = [n + i if i in keep_idx else i for i in range(n)]
+    out = keep_idx + [n + i for i in keep_idx]
+    red = np.einsum(m.reshape(dims + dims), list(range(n)) + col, out)
+    d = prod(dims[i] for i in keep_idx)
     return red.reshape(d, d)
 
 

@@ -289,8 +289,7 @@ def preset(name: str, tol: Tolerances = DEFAULT) -> Scenario:
         if name == "borsten_qubit":
             a2 = embed(np.kron(np.diag([0.0, 1.0]), sigma_z), ["A", "B"], sp)
         else:
-            a2 = embed(np.kron(sigma_z, eye2) + np.kron(eye2, sigma_z),
-                       ["A", "B"], sp)
+            a2 = embed(sigma_z, "A", sp) + embed(sigma_z, "B", sp)
         ops = (
             kick_generator(embed(sigma_x, "A", sp), o1, "gamma"),
             measure(a2, o2),

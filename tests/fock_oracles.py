@@ -1,9 +1,13 @@
-"""Oracles built independently of the package's field and Fock kernels.
+"""Oracles built independently of the package's placement, field and Fock
+kernels.
 
-`ladder_field` embeds every lowering operator afresh on each call, and
-`embedded_generators` forms each coupling generator as the product of the
-separately embedded monopole and field slice, so both stay independent of the
-field matrices and generators that the package builds.  `table_two_point`
+`kron_embed` places an operator on named factors as a kron with the identity
+on the other factors, then one transposed copy into the space's factor order,
+independently of `qops._apply_matrix`.  `ladder_field` embeds every lowering
+operator afresh on each call, and `embedded_generators` forms each coupling
+generator as the product of the separately embedded monopole and field slice,
+so both stay independent of the field matrices and generators that the
+package builds.  `table_two_point`
 reads vacuum two-point values off whole-window tables: the Wightman part from
 one mode-sum matmul over every step offset, the massless commutator from the
 dt = a wave recursion run across the whole window.
@@ -11,7 +15,30 @@ dt = a wave recursion run across the whole window.
 import numpy as np
 
 from causalq import qops
+from causalq.errors import DimensionMismatch
 from causalq.field import _mode_coeffs
+
+
+def kron_embed(op, target_labels, sp):
+    """`op` on the factors `target_labels` of `sp`, identity elsewhere, as a
+    sp.dim x sp.dim matrix: kron(op, 1_rest), then the factors permuted."""
+    targets = list(target_labels)
+    rest = [l for l in sp.labels if l not in targets]
+    d_t = int(np.prod([sp.dim_of(l) for l in targets], dtype=np.int64))
+    if op.shape != (d_t, d_t):
+        raise DimensionMismatch(
+            f"operator shape {op.shape} != target factor dim {d_t}")
+    d_r = int(np.prod([sp.dim_of(l) for l in rest], dtype=np.int64))
+    big = np.kron(op, np.eye(d_r, dtype=complex))
+    current = targets + rest
+    if current == list(sp.labels):
+        return big
+    cur_dims = [sp.dim_of(l) for l in current]
+    n = len(current)
+    perm = [current.index(l) for l in sp.labels]
+    t = big.reshape(cur_dims + cur_dims)
+    t = t.transpose(perm + [p + n for p in perm])
+    return np.ascontiguousarray(t.reshape(sp.dim, sp.dim))
 
 
 def ladder_field(fb, weights, scale):
@@ -22,7 +49,7 @@ def ladder_field(fb, weights, scale):
     for j in fb.modes:
         c = scale * sum(w * _mode_coeffs(fb.field, [j], n, s)[0]
                         for (n, s), w in weights.items())
-        a = qops._embed_matrix(low, [fb.mode_label(j)], fb.space)
+        a = kron_embed(low, [fb.mode_label(j)], fb.space)
         m += c * a + np.conj(c) * qops.dag(a)
     return m
 
@@ -34,9 +61,9 @@ def embedded_generators(dets, fb, sp):
     by_step = {}
     for v, d in enumerate(dets):
         for n, chi in d.switching.items():
-            mu = qops._embed_matrix(d.mu(n * f.dt), [d.label], sp)
+            mu = kron_embed(d.mu(n * f.dt), [d.label], sp)
             phi = ladder_field(fb, {(n, s): w for s, w in d.smearing.items()}, f.spacing)
-            phi = qops._embed_matrix(phi, fb.space.labels, sp)
+            phi = kron_embed(phi, fb.space.labels, sp)
             by_step.setdefault(n, []).append((v, -1j * f.dt * chi * (mu @ phi)))
     return by_step
 

@@ -27,7 +27,7 @@ from causalq.qops import dag, opnorm, sigma_x, sigma_y
 from causalq.random_ops import random_density
 from causalq.serial import build_tripartite, load_document
 
-from fock_oracles import embedded_generators
+from fock_oracles import embedded_generators, kron_embed
 
 F12 = FieldModel(0.0, 12, steps=8)
 FB12 = fock_backend(F12, [3, -3], 3)
@@ -315,7 +315,8 @@ def test_matrix_poly_exp_matches_expm():
     rng = np.random.default_rng(3)
     g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     g = 0.1 * (g - dag(g))
-    poly = MatrixPoly.exp_linear([(0, g)], 1, 12)
+    poly = MatrixPoly.constant(np.eye(5), 1, 12).exp_apply([(0, ["x"], g)],
+                                                           qops.space(("x", 5)))
     assert opnorm(poly.evaluate([1.0]) - expm(g)) < 1e-10
 
 
@@ -341,6 +342,35 @@ def test_factorization_spacelike_commutes():
     res = causal_factorization_check(a, b, FB8)
     assert res.residual < 1e-12
     assert res.commutation is not None and res.commutation < 1e-12
+
+
+def _embedded_factorization(a, b, fb):
+    """causal_factorization_check with both one-detector propagators placed
+    on the joint space by the kron oracle and multiplied as d x d matrices."""
+    sp = joint_space(fb, [a, b])
+    s_ab = scattering_operator([a, b], fb).matrix
+    sa, sb = (kron_embed(scattering_operator([d], fb).matrix,
+                         [d.label, *fb.space.labels], sp) for d in (a, b))
+    comm = opnorm(sa @ sb - sb @ sa) if spacelike(a.region(F12), b.region(F12)) else None
+    return opnorm(s_ab - sb @ sa), comm
+
+
+@pytest.mark.parametrize("modes, cutoff, b_steps, b_site", [
+    ([3, -3, 5], 1, {2: 1.0, 3: 0.6}, 6), ([3, -3, 5], 2, {3: 1.0, 4: 1.0}, 6),
+    ([2, -5], 2, {2: 1.0, 3: 0.6}, 6), ([2, -5], 2, {3: 1.0, 4: 0.4}, 2)])
+def test_factorization_matches_embed_and_multiply(modes, cutoff, b_steps, b_site):
+    # truncation breaks microcausality here, so residuals are far from zero;
+    # the last B is in A's future and reports no commutation
+    fb = fock_backend(F12, modes, cutoff)
+    a = DetectorSpec("A", 0.7, 0.9, {2: 1.0, 3: 0.8}, {0: 1.0, 1: 0.5})
+    b = DetectorSpec("B", 0.5, 1.1, b_steps, {b_site: 1.0})
+    got = causal_factorization_check(a, b, fb)
+    want = _embedded_factorization(a, b, fb)
+    assert abs(got.residual - want[0]) <= 1e-12 and want[0] > 1e-2
+    if want[1] is None:
+        assert got.commutation is None
+    else:
+        assert abs(got.commutation - want[1]) <= 1e-12 and want[1] > 1e-2
 
 
 def test_factorization_rejects_reversed_order():
@@ -417,14 +447,14 @@ def _dense_order_count(kick, a, b, fb, d_b, rho_a, rho_b, max_order):
     dets = [b] if a is None else [a, b]
     offset = 2 if a is None else 1
     sp = joint_space(fb, dets)
-    gen_k = qops._embed_matrix(fb.phi_smeared(kick).matrix, fb.space.labels, sp)
+    gen_k = kron_embed(fb.phi_smeared(kick).matrix, fb.space.labels, sp)
     out = _power_exp([(0, 1j * gen_k)], max_order)
     for _, gens in sorted(embedded_generators(dets, fb, sp).items()):
         out = _power_exp([(v + offset, g) for v, g in gens], max_order) @ out
     states = [rho_b] if a is None else [rho_a, rho_b]
     rho0 = MatrixPoly.constant(joint_state(fb, states), 3, max_order)
     rho = out @ rho0 @ out.dagger()
-    db = qops._embed_matrix(np.asarray(d_b, dtype=complex), [b.label], sp)
+    db = kron_embed(np.asarray(d_b, dtype=complex), [b.label], sp)
     report = {k: 0.0 for k in range(1, max_order + 1)}
     for e, m in rho.terms.items():
         if e[0]:
@@ -490,29 +520,31 @@ def _generator_cases():
 @pytest.mark.parametrize("dets, fb", _generator_cases())
 def test_interaction_generators_match_embedded_product(dets, fb):
     sp = joint_space(fb, dets)
-    got = _interaction_generators(dets, fb, sp)
+    got = _interaction_generators(dets, fb)
     want = embedded_generators(dets, fb, sp)
     assert got.keys() == want.keys()
     for n in got:
-        assert [v for v, _ in got[n]] == [v for v, _ in want[n]]
-        assert max(opnorm(g - h) for (_, g), (_, h) in zip(got[n], want[n])) <= 1e-12
+        assert [v for v, _, _ in got[n]] == [v for v, _ in want[n]]
+        assert max(opnorm(kron_embed(g, labels, sp) - h)
+                   for (_, labels, g), (_, h) in zip(got[n], want[n])) <= 1e-12
 
 
 def test_interaction_generators_place_each_step_once(monkeypatch):
+    # each step's gate is formed once on its own factors; nothing is placed
+    # on the joint space and no ladder operator is embedded again
     fb = fock_backend(F12, [3, -3, 5], 2)
-    dets = [BRIDGE, RECEIVER]
-    sp = joint_space(fb, dets)
-    placed = []
-    embed = qops._embed_matrix
-    monkeypatch.setattr("causalq.detectors._embed_matrix",
-                        lambda op, labels, sp: placed.append(list(labels))
-                        or embed(op, labels, sp))
 
-    def reembed(*args):
-        raise AssertionError("ladder operator embedded again")
-    monkeypatch.setattr("causalq.field._embed_matrix", reembed)
-    _interaction_generators(dets, fb, sp)
-    assert placed == [["A", "m3", "m-3", "m5"]] * 2 + [["B", "m3", "m-3", "m5"]]
+    def refuse(*args):
+        raise AssertionError("operator placed while forming the gates")
+    for name in ("causalq.detectors._embed_matrix", "causalq.detectors._apply_matrix",
+                 "causalq.qops._apply_matrix", "causalq.field._embed_matrix"):
+        monkeypatch.setattr(name, refuse)
+    by_step = _interaction_generators([BRIDGE, RECEIVER], fb)
+    gates = [gate for n in sorted(by_step) for gate in by_step[n]]
+    modes = ["m3", "m-3", "m5"]
+    assert [(v, list(labels)) for v, labels, _ in gates] == (
+        [(0, ["A", *modes])] * 2 + [(1, ["B", *modes])])
+    assert all(g.shape == (2 * fb.space.dim,) * 2 for _, _, g in gates)
 
 
 def test_tripartite_table_calls_no_lattice_kernel(monkeypatch):
@@ -543,6 +575,30 @@ def test_pair_split_builds_no_window_tables(mass):
     assert peak < 4 * 2 ** 20      # one (2 steps + 1) x sites table is 33 MB
 
 
+def test_tripartite_places_gates_on_their_factors(monkeypatch):
+    # two detectors: no operator of the joint dimension is formed, and the
+    # kernel runs at most once per gate per degree (kick and couplings) plus
+    # once for D_B on all columns
+    fb = fock_backend(F12, [3, -3, 5], 2)
+    joint, order = joint_space(fb, [BRIDGE, RECEIVER]).dim, 4
+    sizes = []
+    apply = qops._apply_matrix
+
+    def spy(op, labels, sp, m):
+        sizes.append(len(op))
+        return apply(op, labels, sp, m)
+
+    def refuse(*args):
+        raise AssertionError("operator placed on the joint space")
+    monkeypatch.setattr("causalq.detectors._apply_matrix", spy, raising=False)
+    monkeypatch.setattr("causalq.detectors._embed_matrix", refuse)
+    rep = tripartite_order_count(KICK, BRIDGE, RECEIVER, fb, sigma_x, PLUS, PLUS, order)
+    gates = 1 + sum(map(len, _interaction_generators([BRIDGE, RECEIVER], fb).values()))
+    assert sizes and max(sizes) < joint
+    assert len(sizes) <= gates * order + 1
+    assert max(rep.values()) > 1e-3
+
+
 def test_tripartite_forms_no_density_series(monkeypatch):
     # every series product has a side of at most four columns: W's
     widths = []
@@ -559,14 +615,19 @@ def test_tripartite_forms_no_density_series(monkeypatch):
 
 def test_matrix_poly_exp_apply_matches_exp_linear_product():
     rng = np.random.default_rng(7)
-    gens = [(v, rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
-            for v in (0, 2, 2)]
-    cols = MatrixPoly(3, 6, 4, {(0, 0, 0): rng.normal(size=(6, 2)),
-                                (0, 1, 0): rng.normal(size=(6, 2))})
-    got = cols.exp_apply(gens)
-    want = MatrixPoly.exp_linear(gens, 3, 4) @ cols
-    assert set(got.terms) == set(want.terms)
-    assert all(opnorm(got.terms[e] - want.terms[e]) < 1e-12 for e in got.terms)
+    sp = qops.space(("x", 2), ("y", 3))
+    for labels in (["x", "y"], ["y"], ["y", "x"], ["x"]):
+        d = int(np.prod([sp.dim_of(l) for l in labels]))
+        gates = [(v, labels, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+                 for v in (0, 2, 2)]
+        cols = MatrixPoly(3, 6, 4, {(0, 0, 0): rng.normal(size=(6, 2)),
+                                    (0, 1, 0): rng.normal(size=(6, 2))})
+        got = cols.exp_apply(gates, sp)
+        # exp of whole-space generators placed by the kron oracle, times cols
+        full = [(v, sp.labels, kron_embed(g, labels, sp)) for v, _, g in gates]
+        want = MatrixPoly.constant(np.eye(6), 3, 4).exp_apply(full, sp) @ cols
+        assert set(got.terms) == set(want.terms)
+        assert all(opnorm(got.terms[e] - want.terms[e]) < 1e-12 for e in got.terms)
 
 
 @pytest.mark.parametrize("rho_a, rho_b, error", [

@@ -328,15 +328,22 @@ def test_fock_field_matrices_match_per_call_ladders(f0, modes, cutoff):
 
 
 def test_fock_ladders_embedded_once_per_backend(f0, monkeypatch):
-    placed = []
-    embed = F._embed_matrix
+    # each ladder is one placement kernel call on the identity, at construction
+    placed, kernel = [], []
+    embed, apply = F._embed_matrix, q._apply_matrix
     monkeypatch.setattr(F, "_embed_matrix",
                         lambda op, labels, sp: placed.append(list(labels))
                         or embed(op, labels, sp))
+    monkeypatch.setattr(q, "_apply_matrix",
+                        lambda op, labels, sp, m: kernel.append(
+                            np.array_equal(m, np.eye(sp.dim))) or apply(op, labels, sp, m))
     fb = F.fock_backend(f0, [2, -2, 5], 3)
-    assert placed == [["m2"], ["m-2"], ["m5"]]
+    assert placed == [["m2"], ["m-2"], ["m5"]] and kernel == [True] * 3
     fb.phi_at((4, 10))
     fb.phi_smeared(F.box_smearing(f0, 0, 2, 2, 4))
+    assert len(kernel) == 3
+    # annihilation and number check their declared support inside qops;
+    # field itself places nothing more
     a, n = fb.annihilation(5).matrix, fb.number(-2).matrix
     assert len(placed) == 3
     low = np.diag(np.sqrt(np.arange(1, 4)), 1)

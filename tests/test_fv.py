@@ -17,9 +17,11 @@ from causalq.fv import (BostelmannReport, CircuitSpacetime, ProbeCoupling,
                         cnot_preset, corollary6_check, induced_observable,
                         operator_support, random_brickwork, scattering_map,
                         support_defect, update_nonselective, update_selective)
-from causalq.qops import _embed_matrix, _ptrace_matrix, dag, opnorm
+from causalq.qops import _ptrace_matrix, dag, opnorm
 from causalq.random_ops import (haar_unitary, random_density, random_effect,
                                 random_hermitian)
+
+from fock_oracles import kron_embed
 
 GROUND = np.diag([1.0, 0.0]).astype(complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -451,15 +453,15 @@ def embed_and_multiply(c, probes, coupled):
     for s in range(c.n_steps):
         free, kick = eye, eye
         for span, g in c.layers[s]:
-            free = _embed_matrix(g, [f"s{i}" for i in span], sp) @ free
+            free = kron_embed(g, [f"s{i}" for i in span], sp) @ free
         for p in probes:
             if p.free is not None:
-                free = _embed_matrix(p.free[s], [p.label], sp) @ free
+                free = kron_embed(p.free[s], [p.label], sp) @ free
             if p.label in coupled:
                 here = sorted(((cell, g) for cell, g in p.gates if cell[0] == s),
                               key=lambda item: item[0][1])
                 for (_, x), g in here:
-                    kick = _embed_matrix(g, [f"s{x}", p.label], sp) @ kick
+                    kick = kron_embed(g, [f"s{x}", p.label], sp) @ kick
         v0 = free @ v0
         v = free @ kick @ v
         prefix.append(v0)
@@ -499,27 +501,27 @@ def test_gate_local_map_matches_embed_and_multiply(coupled):
         assert len(sm.gates) == len(bare)
         for g in sm.gates:
             (t, x), label = g.cell, g.probe
-            want = (dag(prefix[t]) @ _embed_matrix(bare[label, g.cell], [f"s{x}", label], sp)
+            want = (dag(prefix[t]) @ kron_embed(bare[label, g.cell], [f"s{x}", label], sp)
                     @ prefix[t])
-            assert opnorm(_embed_matrix(g.matrix, g.labels, sp) - want) <= 1e-12
+            assert opnorm(kron_embed(g.matrix, g.labels, sp) - want) <= 1e-12
             assert {int(l[1:]) for l in g.labels if l != label} <= set(
                 range(max(0, x - t), x + t + 1))
         m = rng.normal(size=(sp.dim,) * 2) + 1j * rng.normal(size=(sp.dim,) * 2)
         assert opnorm(sm.theta(m) - dag(s) @ m @ s) <= 1e-12
         assert opnorm(sm.theta_dual(m) - s @ m @ dag(s)) <= 1e-12
         a = random_hermitian(3, rng)
-        want = dag(prefix[2]) @ _embed_matrix(a, ["s1"], sp) @ prefix[2]
+        want = dag(prefix[2]) @ kron_embed(a, ["s1"], sp) @ prefix[2]
         assert opnorm(cell_operator(sm, (2, 1), a) - want) <= 1e-12
         # induced observable and selective update against full-space filters
         b, sigma = random_effect(3, rng), random_density(3, rng)
-        big = dag(s) @ _embed_matrix(b, ["Q"], sp) @ s
-        w = _embed_matrix(p.sigma, ["P"], sp) @ _embed_matrix(sigma, ["Q"], sp)
+        big = dag(s) @ kron_embed(b, ["Q"], sp) @ s
+        w = kron_embed(p.sigma, ["P"], sp) @ kron_embed(sigma, ["Q"], sp)
         want = _ptrace_matrix(w @ big, sp, list(c.site_labels))
         got = induced_observable(sm, b, sigma=sigma, probe="Q")
         assert opnorm(got - want) <= 1e-12
         omega = random_density(24, rng)
         rho = s @ np.kron(np.kron(omega, p.sigma), q.sigma) @ dag(s)
-        num = _ptrace_matrix(rho @ _embed_matrix(b, ["Q"], sp), sp, list(c.site_labels))
+        num = _ptrace_matrix(rho @ kron_embed(b, ["Q"], sp), sp, list(c.site_labels))
         num = (num + dag(num)) / 2
         state, prob = update_selective(sm, omega, b, probe="Q")
         assert abs(prob - np.trace(num).real) <= 1e-12
@@ -538,7 +540,7 @@ def dense_bostelmann(c, p1, p2, o3, rng, extra_probe1=3):
     sp, s2, prefix = dense_scattering(c, (p1, p2), (p2.label,))
     _, s1, _ = dense_scattering(c, (p1, p2), (p1.label,))
     cmat = reduce(np.matmul, [
-        dag(prefix[t]) @ _embed_matrix(random_hermitian(c.dims[x], rng), [f"s{x}"], sp)
+        dag(prefix[t]) @ kron_embed(random_hermitian(c.dims[x], rng), [f"s{x}"], sp)
         @ prefix[t] for t, x in sorted(o3.cells)])
     processed = dag(s2) @ cmat @ s2
     residual = opnorm(dag(s1) @ processed @ s1 - processed)
@@ -566,7 +568,7 @@ def dense_corollary6(c, omega, p1, p2, b1, b2):
     def selective(s, rho, effects):
         rho = s @ reduce(np.kron, [rho, p1.sigma, p2.sigma]) @ dag(s)
         for label, b in effects:
-            rho = _embed_matrix(b, [label], sp) @ rho
+            rho = kron_embed(b, [label], sp) @ rho
         num = _ptrace_matrix(rho, sp, list(c.site_labels))
         num = (num + dag(num)) / 2
         prob = np.trace(num).real
@@ -678,8 +680,8 @@ def heisenberg_gate_by_gate(sm, op, commutators):
         tally = Counter()
         after = fv._heisenberg(replace(sm, gates=(g,)), op, tally)
         if tally["gates_skipped"]:
-            d = _embed_matrix(g.matrix, g.labels, sp)
-            x = _embed_matrix(op.m, op.labels, sp)
+            d = kron_embed(g.matrix, g.labels, sp)
+            x = kron_embed(op.m, op.labels, sp)
             commutators.append(opnorm(d @ x - x @ d))
         op = after
     return op
@@ -740,10 +742,14 @@ def test_bostelmann_nine_sites_is_exact_on_the_cones():
 
 
 def test_fv_path_forms_no_full_space_gate(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("full-space gate embedded")
-    monkeypatch.setattr(qops, "_embed_matrix", refuse)
-    monkeypatch.setattr(fv, "_embed_matrix", refuse, raising=False)
+    # gates act on their factor axes: no operator that is placed, or applied
+    # to a state or product, has the joint dimension
+    sizes = []
+    apply, embed = fv._apply_matrix, fv._embed_matrix
+    monkeypatch.setattr(fv, "_apply_matrix", lambda op, labels, sp, m: sizes.append(
+        len(op)) or apply(op, labels, sp, m))
+    monkeypatch.setattr(fv, "_embed_matrix", lambda op, labels, sp: sizes.append(
+        len(op)) or embed(op, labels, sp))
     rng = np.random.default_rng(24)
     c = random_brickwork(rng, 5, 3)
     p1 = qubit_probe("P1", [(0, 0)], rng, free=(haar_unitary(2, rng),) * 3)
@@ -757,6 +763,7 @@ def test_fv_path_forms_no_full_space_gate(monkeypatch):
     assert bostelmann_check(c, p1, p2, cells([(3, 4)]), rng=rng).residual < 1e-12
     omega = random_density(32, rng)
     assert corollary6_check(c, omega, p1, p2, GROUND, GROUND).residual < 1e-12
+    assert sizes and max(sizes) < sm.space.dim
 
 
 def dense_evolved(sm, omega, effects, overrides=None):

@@ -13,6 +13,8 @@ from causalq.errors import (BinsNotCovering, CausalqError, DimensionMismatch,
 from causalq.histories import History
 from causalq.scenarios import kick_generator
 
+from fock_oracles import kron_embed
+
 AB = q.qubit_space("A", "B")
 PLUS = np.array([1, 1]) / np.sqrt(2)
 
@@ -358,10 +360,25 @@ def test_apply_matrix_matches_embed_then_multiply(targets):
     d_t = int(np.prod([sp.dim_of(l) for l in targets]))
     op = ro.haar_unitary(d_t, rng)
     m = ro.haar_unitary(sp.dim, rng)
-    want = q._embed_matrix(op, targets, sp) @ m
+    want = kron_embed(op, targets, sp) @ m
     got = q._apply_matrix(op, targets, sp, m)
     assert got.shape == m.shape
     assert q.opnorm(got - want) <= 1e-12
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 2, 2, 2), (3, 2, 4), (2, 3, 2, 5)])
+def test_apply_matrix_on_identity_equals_kron_placement(dims):
+    # placement on the identity is exact: every entry is an entry of op or 0
+    rng = np.random.default_rng(sum(dims))
+    sp = q.space(*((f"f{i}", d) for i, d in enumerate(dims)))
+    labels = list(sp.labels)
+    eye = np.eye(sp.dim, dtype=complex)
+    for targets in (labels[::-1], labels[::2], [labels[-1], labels[0]], [labels[1]],
+                    labels, labels[1:]):
+        op = ro.haar_unitary(int(np.prod([sp.dim_of(l) for l in targets])), rng)
+        want = kron_embed(op, targets, sp)
+        assert np.array_equal(q._apply_matrix(op, targets, sp, eye), want)
+        assert np.array_equal(q.embed(op, targets, sp).matrix, want)
 
 
 def test_derived_operators_keep_tolerances():
