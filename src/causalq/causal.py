@@ -191,26 +191,53 @@ class CausalOrder:
         """True when region i is (weakly) before region j in the closure."""
         return bool(self.leq[i, j])
 
-    def linear_extensions(self, limit: int = 8) -> Iterator[tuple[int, ...]]:
-        """All total orders refining the partial order (Kahn enumeration)."""
+    def linear_extensions(self, limit: int = 8, independent: np.ndarray | None = None
+                          ) -> Iterator[tuple[int, ...]]:
+        """Total orders refining the partial order (Kahn enumeration), in
+        lexicographic order.
+
+        Without `independent`, every linear extension.  With a symmetric
+        boolean matrix of independent pairs, one extension per commutation
+        class (Mazurkiewicz trace): extensions that adjacent swaps of
+        independent elements turn into one another form a class, and only its
+        lexicographically least member, its normal form, is yielded
+        (Anisimov & Knuth 1979).  Comparable pairs count as dependent whatever
+        the matrix says.  An element is not appended after a run of prefix
+        elements independent of it that holds a larger one, since it could
+        swap ahead of that one; every prefix of a normal form is a normal
+        form, so the test prunes whole subtrees.
+        """
         n = len(self)
         if n > limit:
             raise ValueError(f"linear extension enumeration capped at {limit} regions")
         strict = self.leq & ~self.leq.T  # i strictly before j
+        if independent is not None:
+            independent = independent & ~(self.leq | self.leq.T)
         remaining = set(range(n))
         prefix: list[int] = []
+
+        def swaps_ahead(i: int) -> bool:
+            for b in reversed(prefix):
+                if not independent[b, i]:
+                    return False
+                if b > i:
+                    return True
+            return False
 
         def rec():
             if not remaining:
                 yield tuple(prefix)
                 return
             for i in sorted(remaining):
-                if all(not strict[j, i] for j in remaining if j != i):
-                    remaining.remove(i)
-                    prefix.append(i)
-                    yield from rec()
-                    prefix.pop()
-                    remaining.add(i)
+                if any(strict[j, i] for j in remaining if j != i):
+                    continue
+                if independent is not None and swaps_ahead(i):
+                    continue
+                remaining.remove(i)
+                prefix.append(i)
+                yield from rec()
+                prefix.pop()
+                remaining.add(i)
 
         yield from rec()
 

@@ -17,6 +17,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -116,9 +117,10 @@ def _write_rows(rep: RunReport, out_dir: Path, stem: str, fmt: str) -> Path | No
         path.write_text("[\n" + ",\n".join(rows) + "\n]\n")
     else:
         path = out_dir / f"{stem}.data.csv"
-        cells = [str if t else "%.17g".__mod__ for t in text]
-        rows = (",".join([f(r[k]) for f, k in zip(cells, cols)]) for r in rep.rows)
-        path.write_text("\n".join([",".join(cols), *rows]) + "\n")
+        line = ",".join("%s" if t else "%.17g" for t in text) + "\n"
+        get = itemgetter(*cols)  # one column: a bare value, which `%` takes too
+        body = "".join([line % get(r) for r in rep.rows])
+        path.write_text(",".join(cols) + "\n" + body)
     return path
 
 
@@ -134,6 +136,12 @@ def _payload(doc: dict) -> str:
 
 def _exec_operations(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
     s = build_scenario(doc, tol)
+    mode, count = s.order_check
+    note = (f"the first {count} class representatives; later classes not run"
+            if mode == "partial" else "one linear extension per class of commuting operations")
+    rep.checks.append(CheckResult("order_check", None, note=f"{mode}: {note}"))
+    # a count among the results, not the residuals, which tolerances bound
+    rep.results["order_check.extensions_evaluated"] = count
     if s.sweep is None:
         rep.results.update(run_scenario(s, {}))
         return

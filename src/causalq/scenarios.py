@@ -3,17 +3,25 @@
 A scenario is a list of local operations (unitary kicks, non-selective or
 selective projective measurements, terminal readouts), each tied to a
 spacetime region.  Operations are applied along a linear extension of the
-causal partial order of their regions; for small scenarios every extension is
-run and compared, so order ambiguity that leaks into recorded values is
-detected rather than silently resolved.  Parameter sweeps quantify how much a
-kick in one region shifts expectations in another, and an operator-level
-checker separates measured observables that can relay such a shift from those
-that cannot.
+causal partial order of their regions, and one extension of every commutation
+class is run and compared, so order ambiguity that leaks into recorded values
+is detected rather than silently resolved.  Two spacelike operations are
+independent when their order cannot change a recorded value: two observes,
+or, unless a select meets another select or an observe, two operations whose
+matrices commute at rounding level (a parametric kick's generator, each
+eigenprojector of a measurement).  Extensions that swaps of adjacent
+independent operations join record the same values, so one per class keeps
+the whole comparison (Sorkin 1993; Borsten, Jubb & Kells 2021).  At most
+`MAX_EXTENSIONS` representatives are run; a scenario with more classes is
+checked on the first of them and says so in `Scenario.order_check`.
+Parameter sweeps quantify how much a kick in one region shifts expectations
+in another, and an operator-level checker separates measured observables that
+can relay such a shift from those that cannot.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
-from itertools import product as iproduct
+from itertools import combinations, islice, product as iproduct
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -24,17 +32,21 @@ from .errors import (BasisEmpty, NotEffect, NotHermitian, OrderSensitivity,
                      SpaceMismatch, UnknownParameter, UnknownPreset)
 from .field import FieldModel, fock_backend
 from .qops import (DensityState, LocalOperator, ProductSpace, check_unitary,
-                   commutator, dag, embed, expih, eye2, is_hermitian,
+                   commutator, commute, dag, embed, expih, eye2, is_hermitian,
                    is_projector, luders_sum, opnorm, pure_state,
                    qubit_space, select_outcome, sigma_x, sigma_y, sigma_z,
                    spectral_resolution)
 
 __all__ = [
-    "LocalOperation", "Scenario", "SignallingReport",
+    "MAX_EXTENSIONS", "LocalOperation", "Scenario", "SignallingReport",
     "kick", "kick_generator", "measure", "select", "observe",
     "run", "signalling_delta", "borsten_check", "borsten_violation",
     "pauli_strings", "preset", "PRESET_NAMES",
 ]
+
+# class representatives the order check runs at most: 6!, every extension of
+# a six-operation scenario
+MAX_EXTENSIONS = 720
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,9 +102,13 @@ class Scenario:
     factor_regions: Mapping[str, Region] = dfield(default_factory=dict)
     sweep: tuple[str, tuple[float, ...]] | None = None
     tol: Tolerances = dfield(default=DEFAULT, repr=False)
-    # linear extensions that `run` evaluates, and each operation's matrices
-    # (None for parametric kicks, whose unitary depends on the grid point)
+    # the linear extensions that `run` evaluates, one per commutation class;
+    # order_check is (mode, their count), mode "classes" when they cover every
+    # class and "partial" when they are the first MAX_EXTENSIONS of more;
+    # prepared holds each operation's matrices (None for parametric kicks,
+    # whose unitary depends on the grid point)
     extensions: tuple[tuple[int, ...], ...] = dfield(init=False, repr=False)
+    order_check: tuple[str, int] = dfield(init=False, repr=False)
     prepared: tuple = dfield(init=False, repr=False)
 
     def __post_init__(self):
@@ -112,11 +128,9 @@ class Scenario:
                 if anchor is not None and spacelike(anchor, op.region):
                     raise ValueError(
                         f"operation on factor {label!r} sits spacelike to its anchor region")
-        exts: tuple[tuple[int, ...], ...] = ()
+        order = None
         if self.operations:  # build_order raises CycleError
-            gen = build_order([op.region for op in self.operations]).linear_extensions()
-            exts = (next(gen),) if len(self.operations) > 6 else tuple(gen)
-        object.__setattr__(self, "extensions", exts)
+            order = build_order([op.region for op in self.operations])
         if self.sweep is not None:
             param, grid = self.sweep
             grid = tuple(float(v) for v in grid)
@@ -126,8 +140,17 @@ class Scenario:
             if param not in names:
                 raise UnknownParameter(f"sweep parameter {param!r} not used by any kick")
             object.__setattr__(self, "sweep", (param, grid))
-        object.__setattr__(self, "prepared", tuple(
-            None if op.parametric else _prepare(op, self.tol) for op in self.operations))
+        prepared = tuple(None if op.parametric else _prepare(op, self.tol)
+                         for op in self.operations)
+        exts: tuple[tuple[int, ...], ...] = ()
+        if order is not None:
+            indep = _independence(self.operations, prepared, order.leq)
+            exts = tuple(islice(order.linear_extensions(independent=indep),
+                                MAX_EXTENSIONS + 1))
+        mode = "partial" if len(exts) > MAX_EXTENSIONS else "classes"
+        object.__setattr__(self, "extensions", exts[:MAX_EXTENSIONS])
+        object.__setattr__(self, "order_check", (mode, len(self.extensions)))
+        object.__setattr__(self, "prepared", prepared)
 
 
 @dataclass(frozen=True)
@@ -149,6 +172,33 @@ def _prepare(op: LocalOperation, tol: Tolerances):
     raise ValueError(f"unknown operation kind {op.kind!r}")
 
 
+def _independence(ops: Sequence[LocalOperation], prepared: Sequence,
+                  leq: np.ndarray) -> np.ndarray:
+    """Incomparable pairs whose order cannot change a recorded value.
+
+    Two observes always are.  A select weighs by a probability conditioned
+    on what came before, so it depends on every other select and every
+    observe even when their matrices commute.  Any other pair is independent when
+    its matrices commute at rounding level: a parametric kick's generator,
+    each eigenprojector of a measurement, the operator of the rest.
+    """
+    mats = [[op.operator.matrix] if op.parametric
+            else m if op.kind == "measure" else [m] for op, m in zip(ops, prepared)]
+    out = np.zeros(leq.shape, dtype=bool)
+    for i, j in combinations(range(len(ops)), 2):
+        if leq[i, j] or leq[j, i]:
+            continue
+        kinds = {ops[i].kind, ops[j].kind}
+        if kinds == {"observe"}:
+            free = True
+        elif "select" in kinds and kinds <= {"select", "observe"}:
+            free = False
+        else:
+            free = all(commute(a, b) for a in mats[i] for b in mats[j])
+        out[i, j] = out[j, i] = free
+    return out
+
+
 def _apply(rho: np.ndarray, op: LocalOperation, m, results: dict,
            tol: Tolerances) -> np.ndarray:
     if op.kind == "kick":
@@ -167,9 +217,11 @@ def _apply(rho: np.ndarray, op: LocalOperation, m, results: dict,
 def run(s: Scenario, params: Mapping[str, float] | None = None) -> dict[str, float]:
     """Apply the operations along the causal order; returns recorded values.
 
-    For up to six operations every linear extension of the causal order is
-    evaluated and the recorded values compared; disagreement beyond tolerance
-    raises OrderSensitivity.  Operations are prepared once per scenario (the
+    One linear extension per commutation class of the causal order is
+    evaluated (see the module docstring; at most `MAX_EXTENSIONS`, as
+    `s.order_check` reports) and the recorded values compared; disagreement
+    beyond tolerance raises OrderSensitivity.  The values returned are those
+    of the first extension.  Operations are prepared once per scenario (the
     extensions, eigenprojectors and fixed operators, see `Scenario`); a call
     forms only the parametric kick unitaries, shared by all extensions.
     """
@@ -216,7 +268,8 @@ def signalling_delta(s: Scenario, observable: str | None = None) -> SignallingRe
         vals.append(out[observable])
     base = vals[0]
     delta = max(abs(v - base) for v in vals)
-    return SignallingReport(observable, base, grid, tuple(vals), delta)
+    return SignallingReport(observable, base, grid, tuple(vals), delta,
+                            s.order_check)
 
 
 def _worst_commutator(projectors: Sequence[np.ndarray],

@@ -147,6 +147,28 @@ def test_linear_extensions_antichain():
     assert len(list(order.linear_extensions())) == 6
 
 
+def test_linear_extensions_one_normal_form_per_class():
+    order = build_order([rect(0, 1, 10 * i, 10 * i + 1) for i in range(3)])
+    every = list(order.linear_extensions())
+    none = np.zeros((3, 3), dtype=bool)
+    assert list(order.linear_extensions(independent=none)) == every
+    assert list(order.linear_extensions(independent=~none)) == [(0, 1, 2)]
+    # 0 and 2 commute: classes are fixed by the orders of (0, 1) and (1, 2)
+    ind = none.copy()
+    ind[0, 2] = ind[2, 0] = True
+    assert list(order.linear_extensions(independent=ind)) == [
+        (0, 1, 2), (0, 2, 1), (1, 0, 2), (2, 1, 0)]
+
+
+def test_linear_extensions_comparable_pairs_stay_dependent():
+    # region 1 precedes region 0: were the pair independent, 0 could swap
+    # ahead of 1 and the only extension would be pruned
+    order = build_order([rect(5, 6, 0, 1), rect(0, 1, 0, 1), rect(5, 6, 20, 21)])
+    every = np.ones((3, 3), dtype=bool)
+    assert list(order.linear_extensions()) == [(1, 0, 2), (1, 2, 0), (2, 1, 0)]
+    assert list(order.linear_extensions(independent=every)) == [(1, 0, 2)]
+
+
 def test_linear_extensions_cap():
     regions = [rect(0, 1, 10 * i, 10 * i + 1) for i in range(9)]
     order = build_order(regions)

@@ -21,7 +21,7 @@ from causalq.qops import sigma_x
 from causalq.serial import (build_detector_pair, build_family, build_tripartite,
                             document_digest, dump_document, fmt17, load_document)
 
-from sized_documents import family_document
+from sized_documents import family_document, operations_document
 
 PRESETS = Path(__file__).resolve().parents[1] / "presets"
 
@@ -105,6 +105,80 @@ def test_run_borsten_preset_writes_cosine_csv(tmp_path, capsys):
     rep = read_report(tmp_path, "borsten_qubit")
     assert abs(rep["results"]["delta_max.C"] - 1.0) < 1e-12
     assert "report:" in out and "data:" in out
+
+
+# two non-commuting kicks on the observed qubit B in spacelike regions K1, K2
+SEVEN_OPERATIONS = {
+    "geometry": {"preset": "fig2", "regions": {
+        "K1": {"rect": [0, 0.5, 1, 1.5]}, "K2": {"rect": [0, 0.5, 5.5, 6]},
+        "F1": {"rect": [20, 21, -3, -2]}, "F2": {"rect": [20, 21, 2, 3]}}},
+    "space": {"qubits": ["A", "B"], "state": [1, 1, 0, 0]},
+    "operations": [
+        {"kind": "kick_generator", "region": "O1", "param": "g",
+         "operator": {"pauli": "X", "factor": "A"}},
+        {"kind": "kick", "region": "K1", "operator": {"matrix": [
+            [0.6, -0.8, 0, 0], [0.8, 0.6, 0, 0], [0, 0, 0.6, -0.8], [0, 0, 0.8, 0.6]]}},
+        {"kind": "kick", "region": "K2", "operator": {
+            "matrix": [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]],
+            "imag": [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]}},
+        {"kind": "measure", "region": "O2", "operator": {"pauli": "Z", "factor": "A"}},
+        {"kind": "observe", "region": "O3", "name": "C",
+         "operator": {"pauli": "X", "factor": "B"}},
+        {"kind": "observe", "region": "F1", "name": "ZA",
+         "operator": {"pauli": "Z", "factor": "A"}},
+        {"kind": "observe", "region": "F2", "name": "ZB",
+         "operator": {"pauli": "Z", "factor": "B"}}],
+    "sweep": {"param": "g", "grid": {"start": 0, "stop": 1, "count": 3}}}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_operations_report_states_the_order_check(tmp_path, capsys, command):
+    rc, out, _ = cli(capsys, command, PRESETS / "sorkin_qubit_baby.json",
+                     "--out", tmp_path)
+    assert rc == 0
+    rep = read_report(tmp_path, "sorkin_qubit_baby")
+    (entry,) = [c for c in rep["checks"] if c["name"] == "order_check"]
+    assert entry["passed"] is None and entry["note"].startswith("classes: ")
+    assert rep["results"]["order_check.extensions_evaluated"] == 1
+    assert not [k for k in rep["residuals"] if k.startswith("order_check")]
+    assert "[info] order_check (classes: " in out
+
+
+@pytest.mark.parametrize("extra, code, evaluated", [
+    (["Z", "Z", "Z"], 0, 1),  # 120 extensions, commuting kicks: one class
+    (["X", "Z", "Y"], 0, 6),  # the kicks on C order six ways; B never sees them
+])
+def test_workload_documents_run_one_extension_per_class(tmp_path, capsys, extra,
+                                                         code, evaluated):
+    path = write_doc(tmp_path, operations_document(np.random.default_rng(1), extra))
+    rc, _, _ = cli(capsys, "run", path, "--out", tmp_path)
+    assert rc == code
+    assert read_report(tmp_path, "doc")["results"][
+        "order_check.extensions_evaluated"] == evaluated
+
+
+def test_more_classes_than_the_cap_are_reported_partial(tmp_path, capsys):
+    # eight mutually spacelike kicks on one qubit, no two commuting: 8! classes
+    rng = np.random.default_rng(8)
+    ops, regions = [], {}
+    for k in range(8):
+        u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        regions[f"R{k}"] = {"rect": [0, 1, 10 * k, 10 * k + 1]}
+        ops.append({"kind": "kick", "region": f"R{k}",
+                    "operator": {"matrix": u.real.tolist(), "imag": u.imag.tolist()}})
+    doc = {"geometry": {"regions": regions}, "space": {"qubits": ["A"], "state": [1, 0]},
+           "operations": ops}
+    rc, out, _ = cli(capsys, "run", write_doc(tmp_path, doc), "--out", tmp_path)
+    assert rc == 0
+    assert "[info] order_check (partial: the first 720 class representatives" in out
+    assert read_report(tmp_path, "doc")["results"]["order_check.extensions_evaluated"] == 720
+
+
+def test_seven_operations_with_noncommuting_kicks_exit_3(tmp_path, capsys):
+    path = write_doc(tmp_path, SEVEN_OPERATIONS)
+    rc, _, err = cli(capsys, "run", path, "--out", tmp_path)
+    assert rc == 3
+    assert "OrderSensitivity" in err
 
 
 def test_run_bostelmann_reports_residual_keys(tmp_path, capsys):
@@ -589,13 +663,20 @@ def _reference_data(rows: list[dict], fmt: str) -> str:
 @pytest.mark.parametrize("argv", [
     ["run", "fuksa_family.json"], ["run", "family_4_qubits"],
     ["run", "borsten_qubit.json"], ["sweep", "tripartite_orders.json"],
-    ["sweep", "sorkin_qubit_baby.json", "--param", "lam", "--grid", "0:1:5"]],
+    ["sweep", "sorkin_qubit_baby.json", "--param", "lam", "--grid", "0:1:5"],
+    ["run", "unrecorded_sweep"]],
     ids=["fuksa_family", "family_4_qubits", "borsten_qubit", "tripartite_orders",
-         "sorkin_grid"])
+         "sorkin_grid", "one_column"])
 def test_data_files_match_per_entry_reference(tmp_path, capsys, monkeypatch, argv, fmt):
     if argv[1] == "family_4_qubits":
         path = write_doc(tmp_path, family_document(np.random.default_rng(5)),
                          "family_4_qubits.json")
+    elif argv[1] == "unrecorded_sweep":  # nothing recorded: the grid is the only column
+        path = write_doc(tmp_path, {
+            "geometry": {"preset": "fig2"}, "space": {"qubits": ["A"], "state": [1, 0]},
+            "operations": [{"kind": "kick_generator", "region": "O1", "param": "g",
+                            "operator": {"pauli": "X", "factor": "A"}}],
+            "sweep": {"param": "g", "grid": [0.0, 0.1, 2.5]}}, "unrecorded_sweep.json")
     else:
         path = PRESETS / argv[1]
     tables = []

@@ -1,15 +1,21 @@
 """Scenario engine, presets, and the operator-level signalling checker."""
+from collections import Counter
+from itertools import combinations, permutations
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 import causalq.qops as q
 import causalq.scenarios as sc
-from causalq.causal import fig2_preset, rect
+from causalq.causal import CausalOrder, fig2_preset, rect
 from causalq.errors import (BasisEmpty, NotEffect, NotHermitian,
                             OrderSensitivity, SpaceMismatch, UnknownParameter,
                             UnknownPreset, ZeroProbability)
 from causalq.random_ops import random_density, random_hermitian
+from causalq.serial import build_scenario
+
+from sized_documents import operations_document
 
 
 def _qubit_scenario(ops, init_vec=(1, 0), **kw):
@@ -185,6 +191,216 @@ def test_commuting_spacelike_kicks_are_order_insensitive():
     s = sc.Scenario(sp, init, ops)
     out = sc.run(s)
     assert out["C"] == pytest.approx(np.sin(0.6), abs=1e-12)
+
+
+# order check over commutation classes
+
+_PAULIS = (q.sigma_x, q.sigma_y, q.sigma_z)
+# region corners (t, x): mixes timelike, lightlike-reachable and spacelike pairs
+_CORNERS = [(t, x) for t in (0.0, 3.0, 6.0) for x in (0.0, 4.0, 8.0, 40.0)]
+
+
+def _random_matrix(kind, sp, rng):
+    """A local operator of `kind` on one or two random factors, or a Pauli."""
+    labels = sorted(rng.choice(sp.labels, size=int(rng.integers(1, 3)), replace=False))
+    d = 2 ** len(labels)
+    if kind == "select":
+        if rng.random() < 0.5:  # a computational-basis projector: zero weights happen
+            return q.embed(np.diag(np.eye(2)[rng.integers(2)]), labels[0], sp)
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        return q.embed(np.outer(v, v.conj()) / np.vdot(v, v), labels, sp)
+    if rng.random() < 0.5:
+        return q.embed(_PAULIS[rng.integers(3)], labels[0], sp)
+    h = random_hermitian(d, rng)
+    return q.embed(q.expih(h, 1.0) if kind == "kick" else h, labels, sp)
+
+
+def _random_scenario(rng):
+    sp = q.qubit_space(*"ABC"[:int(rng.integers(2, 4))])
+    corners = rng.choice(len(_CORNERS), size=int(rng.integers(1, 7)), replace=False)
+    ops, params = [], {}
+    for k, c in enumerate(corners):
+        t, x = _CORNERS[c]
+        region = rect(t, t + 1, x, x + 1)
+        kind = str(rng.choice(["kick", "kick_generator", "measure", "select", "observe"]))
+        m = _random_matrix(kind, sp, rng)
+        if kind == "kick":
+            ops.append(sc.kick(m, region))
+        elif kind == "kick_generator":
+            params[f"v{k}"] = float(rng.uniform(0.2, 1.5))
+            ops.append(sc.kick_generator(m, region, f"v{k}"))
+        elif kind == "measure":
+            ops.append(sc.measure(m, region))
+        elif kind == "select":
+            ops.append(sc.select(m, region, f"p{k}" if rng.random() < 0.5 else None))
+        else:
+            ops.append(sc.observe(m, region, f"o{k}"))
+    if rng.random() < 0.3:
+        init = q.pure_state(np.eye(sp.dim)[0], sp)
+    else:
+        v = rng.normal(size=sp.dim) + 1j * rng.normal(size=sp.dim)
+        init = q.pure_state(v / np.linalg.norm(v), sp)
+    return sc.Scenario(sp, init, tuple(ops)), params
+
+
+def _all_extensions(s):
+    leq = sc.build_order([op.region for op in s.operations]).leq
+    strict = leq & ~leq.T
+    n = len(s.operations)
+    return leq, [p for p in permutations(range(n))
+                 if not any(strict[p[j], p[i]] for i in range(n) for j in range(i + 1, n))]
+
+
+def _dependent_pairs(s, leq):
+    """Incomparable pairs whose order may change a recorded value, decided on
+    the operators themselves (a measurement commutes with an operator exactly
+    when its observable does)."""
+    out = []
+    for i, j in combinations(range(len(s.operations)), 2):
+        a, b = s.operations[i], s.operations[j]
+        kinds = {a.kind, b.kind}
+        if leq[i, j] or leq[j, i] or kinds == {"observe"}:
+            continue
+        if ("select" in kinds and kinds <= {"select", "observe"}
+                or q.opnorm(q.commutator(a.operator.matrix, b.operator.matrix)) > 1e-9):
+            out.append((i, j))
+    return out
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (OrderSensitivity, ZeroProbability) as e:
+        return type(e)
+
+
+def _full_enumeration(s, params, exts):
+    """The order check over every linear extension."""
+    mats = [q.expih(op.operator.matrix, params[op.name]) if op.parametric else m
+            for op, m in zip(s.operations, s.prepared)]
+    runs = []
+    for ext in exts:
+        rho, rec = s.initial.matrix.copy(), {}
+        for i in ext:
+            rho = sc._apply(rho, s.operations[i], mats[i], rec, s.tol)
+        runs.append(rec)
+    for other in runs[1:]:
+        if any(abs(other[k] - v) > s.tol.operator for k, v in runs[0].items()):
+            raise OrderSensitivity("extensions disagree")
+    return runs[0]
+
+
+def test_order_check_runs_each_class_normal_form_once():
+    # oracle: every permutation that respects the order, grouped by how it
+    # orders each dependent pair (two extensions are one class exactly when
+    # they agree on all of them); the scenario keeps each group's least member
+    rng = np.random.default_rng(2024)
+    seen = Counter()
+    for _ in range(240):
+        s, params = _random_scenario(rng)
+        leq, exts = _all_extensions(s)
+        pairs = _dependent_pairs(s, leq)
+        groups = {}
+        for ext in exts:
+            pos = {op: k for k, op in enumerate(ext)}
+            groups.setdefault(tuple(pos[i] < pos[j] for i, j in pairs), []).append(ext)
+        assert s.extensions == tuple(sorted(min(g) for g in groups.values()))
+        assert s.order_check == ("classes", len(groups))
+        want = _outcome(lambda: _full_enumeration(s, params, exts))
+        assert _outcome(lambda: sc.run(s, params)) == want
+        seen["pruned" if len(groups) < len(exts) else "whole"] += 1
+        seen[want if isinstance(want, type) else "passed"] += 1
+        seen["several classes"] += len(groups) > 1
+    assert min(seen[k] for k in ("pruned", "whole", "passed", "several classes",
+                                 OrderSensitivity, ZeroProbability)) >= 10, seen
+
+
+def test_spacelike_select_and_observe_stay_ordered_though_they_commute():
+    # both diagonal, yet the readout sees the selection in one order only
+    sp = q.qubit_space("A")
+    ops = (
+        sc.select(q.embed(np.diag([1.0, 0.0]), "A", sp), rect(0, 1, -6, -5), "p"),
+        sc.observe(q.embed(q.sigma_z, "A", sp), rect(0, 1, 5, 6), "C"),
+    )
+    assert q.commute(ops[0].operator.matrix, ops[1].operator.matrix)
+    s = sc.Scenario(sp, q.pure_state(np.array([1, 1]) / np.sqrt(2), sp), ops)
+    assert s.extensions == ((0, 1), (1, 0))
+    with pytest.raises(OrderSensitivity):
+        sc.run(s)
+
+
+def test_commutator_of_1e_12_keeps_both_orders():
+    sp = q.qubit_space("A", "B")
+    theta = 1e-12 / (2 * np.sqrt(2))  # ||[Z, exp(i theta X)]||_F = 2 sqrt(2) sin(theta)
+    a = q.embed(q.sigma_z, "A", sp)
+    b = q.embed(q.expih(q.sigma_x, theta), "A", sp)
+    assert np.linalg.norm(q.commutator(a.matrix, b.matrix)) == pytest.approx(1e-12)
+    assert not q.commute(a.matrix, b.matrix)
+    ops = (sc.kick(a, rect(0, 1, -6, -5)), sc.kick(b, rect(0, 1, 5, 6)),
+           sc.observe(q.embed(q.sigma_y, "A", sp), rect(20, 21, 0, 1), "C"))
+    s = sc.Scenario(sp, q.pure_state(np.eye(4)[0], sp), ops)
+    assert s.extensions == ((0, 1, 2), (1, 0, 2))
+    assert s.order_check == ("classes", 2)
+
+
+def test_workload_document_runs_one_extension_per_class(monkeypatch):
+    # 20 linear extensions; the X and Y kicks on C are the only dependent pair
+    doc = operations_document(np.random.default_rng(3), ["X", "Y"])
+    s = build_scenario(doc)
+    assert len(list(sc.build_order([op.region for op in s.operations])
+                    .linear_extensions())) == 20
+    calls = []
+    apply = sc._apply
+    monkeypatch.setattr(sc, "_apply", lambda *a: calls.append(a[1]) or apply(*a))
+    sc.run(s, {"g": 0.4})
+    assert len(calls) <= 2 * len(s.operations)
+    assert s.order_check == ("classes", 2)
+
+
+def test_more_classes_than_the_cap_run_the_first_and_say_so(monkeypatch):
+    # eight mutually spacelike kicks on one qubit, no two commuting: 8! classes
+    sp = q.qubit_space("A")
+    rng = np.random.default_rng(8)
+    ops = tuple(sc.kick(q.embed(q.expih(random_hermitian(2, rng), 1.0), "A", sp),
+                        rect(0, 1, 10 * k, 10 * k + 1)) for k in range(8))
+    yielded = []
+    extensions = CausalOrder.linear_extensions
+
+    def counted(order, *a, **kw):
+        for ext in extensions(order, *a, **kw):
+            yielded.append(ext)
+            yield ext
+    monkeypatch.setattr(CausalOrder, "linear_extensions", counted)
+    s = sc.Scenario(sp, q.pure_state(np.eye(2)[0], sp), ops)
+    assert len(yielded) == sc.MAX_EXTENSIONS + 1  # the DFS stops one past the cap
+    assert s.extensions == tuple(yielded[:sc.MAX_EXTENSIONS])
+    assert s.order_check == ("partial", sc.MAX_EXTENSIONS)
+    assert sc.run(s) == {}
+
+
+def test_seven_operations_with_noncommuting_spacelike_kicks_are_checked():
+    # the first extension alone would pass; the second class disagrees
+    sp = q.qubit_space("A", "B")
+    u1 = q.embed(expm(0.3j * q.sigma_x), "B", sp)
+    u2 = q.embed(expm(0.7j * q.sigma_z), "B", sp)
+    o1, o2, o3 = fig2_preset()
+    ops = (
+        sc.kick_generator(q.embed(q.sigma_x, "A", sp), o1, "g"),
+        sc.kick(u1, rect(0, 0.5, 1, 1.5)),
+        sc.kick(u2, rect(0, 0.5, 5.5, 6)),
+        sc.measure(q.embed(q.sigma_z, "A", sp), o2),
+        sc.observe(q.embed(q.sigma_y, "B", sp), o3, "C"),
+        sc.observe(q.embed(q.sigma_z, "A", sp), rect(20, 21, -3, -2), "ZA"),
+        sc.observe(q.embed(q.sigma_z, "B", sp), rect(20, 21, 2, 3), "ZB"),
+    )
+    s = sc.Scenario(sp, q.pure_state(np.eye(4)[0], sp), ops)
+    assert s.order_check == ("classes", 2)
+    with pytest.raises(OrderSensitivity):
+        sc.run(s, {"g": 0.5})
+
+
+def test_signalling_report_states_the_order_check():
+    assert sc.signalling_delta(sc.preset("borsten_qubit")).order_check == ("classes", 1)
 
 
 # borsten_qubit preset
