@@ -20,14 +20,13 @@ its own factors (detector and modes) and applied on their axes:
   the equivalent Kraus form on the field factor, and the non-selective sum.
 
 Order counting rides on that series: a local kick before two detector
-couplings is expanded jointly in (kick, A, B) powers, applied to the few
-columns W of rho0 = W W^dag rather than to density matrices, and the
-kick-dependent coefficients of a B observable are reported order by order.
+couplings is expanded jointly in (kick, A, B) powers on the few columns W of
+rho0 = W W^dag, and the kick-dependent coefficients of a B observable are
+block traces of one Gram product of those columns, reported order by order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
-from itertools import accumulate
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -244,12 +243,6 @@ def sigma_operator(a: DetectorSpec, b: DetectorSpec, f: FieldModel,
 Gate = tuple[int, Sequence[str], np.ndarray]   # (variable, factor labels, matrix)
 
 
-def _columns(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, list[slice]]:
-    """The matrices side by side, and the column slice of each."""
-    ends = list(accumulate(m.shape[1] for m in mats))
-    return np.hstack(mats), [slice(lo, hi) for lo, hi in zip([0, *ends], ends)]
-
-
 class MatrixPoly:
     """Polynomial in formal coupling variables with matrix coefficients,
     truncated at a fixed total degree."""
@@ -278,13 +271,15 @@ class MatrixPoly:
             live = [e for e in x if sum(e) < self.degree]
             if not live:
                 break
-            stack, cols = _columns([x[e] for e in live])
-            ys = [(v, _apply_matrix(g, labels, sp, stack) / k) for v, labels, g in gates]
+            stack = np.concatenate([x[e] for e in live], axis=1)
+            shape = (self.dim, len(live), -1)  # term i of live is y[:, i]
+            ys = [(v, (_apply_matrix(g, labels, sp, stack) / k).reshape(shape))
+                  for v, labels, g in gates]
             nxt: dict[tuple[int, ...], np.ndarray] = {}
-            for e, c in zip(live, cols):
+            for i, e in enumerate(live):
                 for v, y in ys:
                     e2 = e[:v] + (e[v] + 1,) + e[v + 1:]
-                    nxt[e2] = nxt[e2] + y[:, c] if e2 in nxt else y[:, c]
+                    nxt[e2] = nxt[e2] + y[:, i] if e2 in nxt else y[:, i]
             x = nxt
             for e, m in x.items():
                 out[e] = out[e] + m if e in out else m
@@ -413,55 +408,55 @@ def tripartite_order_count(kick: SmearingFn, a: DetectorSpec | None,
     order; the final B expectation is expanded jointly to max_order total
     coupling powers and, per total order, the largest coefficient magnitude
     carrying at least one kick power is reported; the couplings are formal
-    variables and are not read.  The region triple (by
-    default the exact supports, or explicit enclosing regions so a pointlike
-    probe can stand in for an extended one) must classify as kick / bridge /
-    receiver in the Sorkin sense, with kick and receiver spacelike.  Passing
-    a=None removes the bridge detector entirely, the zero-coupling control.
+    variables and are not read.  The region triple (by default the exact
+    supports, or explicit enclosing regions so a pointlike probe can stand in
+    for an extended one) must classify as kick / bridge / receiver in the
+    Sorkin sense, with kick and receiver spacelike.  Passing a=None removes
+    the bridge detector entirely, the zero-coupling control.
 
     No density matrix series is formed: rho0 = W W^dag with W = sqrt(rho_A)
-    (x) sqrt(rho_B) (x) |vac> of at most four columns, whose series U W goes
-    through the kick and every step by `MatrixPoly.exp_apply`; D_B acts on
-    B's factor of all those columns at once, and the coefficient at exponent
-    e is c_e = sum_{e1+e2=e} tr((U_e2 W)^dag D_B U_e1 W).
+    (x) sqrt(rho_B) (x) |vac> of r <= 4 columns, whose T series terms U_e W go
+    through the kick and every step by `MatrixPoly.exp_apply`.  Side by side
+    they are S (d x T r), and one Gram product S^dag (D_B S), with D_B on B's
+    factor, holds every tr((U_e2 W)^dag D_B U_e1 W) as an r x r block trace;
+    c_e = sum_{e1+e2=e} of those is one scatter-add over exponent pairs.
     """
     f = fb.field
     if a is not None:
-        if regions is None:
-            regions = (kick.region, a.region(f), b.region(f))
-        else:
-            for sub, kept in ((kick.region, regions[0]), (a.region(f), regions[1]),
-                              (b.region(f), regions[2])):
-                if not set(sub.cells) <= set(kept.cells):
-                    raise ValueError("support must lie inside its declared region")
+        exact = (kick.region, a.region(f), b.region(f))
+        regions = regions or exact
+        if any(not set(sub.cells) <= set(kept.cells) for sub, kept in zip(exact, regions)):
+            raise ValueError("support must lie inside its declared region")
         cls = classify_configuration(*regions)
         if cls != "sorkin_type":
             raise NotSorkinType(f"region triple classifies as {cls}")
-    kick_step = max(n for n, _ in kick.weights)
     dets = [b] if a is None else [a, b]
+    if min(n for d in dets for n in d.steps) <= max(n for n, _ in kick.weights):
+        raise ValueError("detector switchings must follow the kick step")
     named = {"rho_b": rho_b} if a is None else {"rho_a": rho_a, "rho_b": rho_b}
     w = fb.vacuum[:, None]
     for what, rho in reversed(named.items()):
         ev, u = np.linalg.eigh(check_density(rho, 2, tol, what))
         w = np.kron(u[:, ev > 0] * np.sqrt(ev[ev > 0]), w)  # W W^dag = rho
     sp = joint_space(fb, dets)
-    by_step = _interaction_generators(dets, fb)
     # series variables 0, 1, 2 are the kick, A and B couplings
     kick_gate = (0, fb.space.labels, 1j * fb.phi_smeared(kick).matrix)
     cols = MatrixPoly.constant(w, 3, max_order).exp_apply([kick_gate], sp)
-    for n in sorted(by_step):
-        if n <= kick_step:
-            raise ValueError("detector switchings must follow the kick step")
-        cols = cols.exp_apply([(v + 3 - len(dets), labels, g)
-                               for v, labels, g in by_step[n]], sp)
-    stack, where = _columns(list(cols.terms.values()))
-    y = _apply_matrix(d_b, [b.label], sp, stack)
-    db = MatrixPoly(3, sp.dim, max_order, {e: y[:, c] for e, c in zip(cols.terms, where)})
-    report: dict[int, float] = {k: 0.0 for k in range(1, max_order + 1)}
-    for e, m in (cols.dagger() @ db).terms.items():
-        if e[0]:  # the product keeps total orders up to max_order
-            report[sum(e)] = max(report[sum(e)], abs(complex(np.trace(m))))
-    return report
+    for _, gates in sorted(_interaction_generators(dets, fb).items()):
+        cols = cols.exp_apply([(v + 3 - len(dets), labels, g) for v, labels, g in gates], sp)
+    # tr[i, j] = tr((U_i W)^dag D_B U_j W), the r x r block traces of one Gram product
+    exps, r = np.array(list(cols.terms)), w.shape[1]
+    stack = np.concatenate(list(cols.terms.values()), axis=1)
+    gram = dag(stack) @ _apply_matrix(d_b, [b.label], sp, stack)
+    tr = np.trace(gram.reshape(len(exps), r, len(exps), r), axis1=1, axis2=3)
+    # c_e sums tr over the pairs with e_i + e_j = e, total <= max_order, kick power >= 1
+    tot, kicks = exps.sum(1), exps[:, 0]
+    i, j = np.nonzero((np.add.outer(tot, tot) <= max_order)
+                      & (np.add.outer(kicks, kicks) > 0))
+    c = np.zeros((max_order + 1,) * 3, complex)
+    np.add.at(c, tuple((exps[i] + exps[j]).T), tr[i, j])
+    total = np.indices(c.shape).sum(0)
+    return {k: float(abs(c[total == k]).max()) for k in range(1, max_order + 1)}
 
 
 # measurement-update rules for a single detector

@@ -75,11 +75,14 @@ def rounding_floor(d: int, scale: float) -> float:
     return FLOOR_FACTOR * d * (np.finfo(float).eps / 2) * scale  # u = eps / 2
 
 
-def commute(a: np.ndarray, b: np.ndarray) -> bool:
+def commute(a: np.ndarray, b: np.ndarray, phase: bool = False) -> bool:
     """[a, b] vanishes at rounding level: its Frobenius norm is within the
-    rounding floor of the product of theirs."""
+    rounding floor of the product of theirs.  With `phase`, ab - c ba does for
+    c = tr((ba)^dag ab) / d, as for unitaries whose conjugations commute."""
+    ab, ba = a @ b, b @ a
+    c = np.vdot(ba, ab) / a.shape[0] if phase else 1.0
     scale = np.linalg.norm(a) * np.linalg.norm(b)
-    return np.linalg.norm(commutator(a, b)) <= rounding_floor(a.shape[0], scale)
+    return np.linalg.norm(ab - c * ba) <= rounding_floor(a.shape[0], scale)
 
 
 def opnorm(a: np.ndarray) -> float:

@@ -9,14 +9,14 @@ is detected rather than silently resolved.  Two spacelike operations are
 independent when their order cannot change a recorded value: two observes,
 or, unless a select meets another select or an observe, two operations whose
 matrices commute at rounding level (a parametric kick's generator, each
-eigenprojector of a measurement).  Extensions that swaps of adjacent
-independent operations join record the same values, so one per class keeps
-the whole comparison (Sorkin 1993; Borsten, Jubb & Kells 2021).  At most
-`MAX_EXTENSIONS` representatives are run; a scenario with more classes is
-checked on the first of them and says so in `Scenario.order_check`.
-Parameter sweeps quantify how much a kick in one region shifts expectations
-in another, and an operator-level checker separates measured observables that
-can relay such a shift from those that cannot.
+eigenprojector of a measurement; fixed kicks up to a phase).  Extensions joined
+by swaps of adjacent independent operations record the same values, so one per
+class keeps the whole comparison (Sorkin 1993; Borsten, Jubb & Kells 2021).  At
+most `MAX_EXTENSIONS` representatives are run; a scenario with more classes is
+checked on the first of them and says so in `Scenario.order_check`.  Parameter
+sweeps quantify how much a kick in one region shifts expectations in another,
+and an operator-level checker separates measured observables that can relay
+such a shift from those that cannot.
 """
 from __future__ import annotations
 
@@ -180,7 +180,8 @@ def _independence(ops: Sequence[LocalOperation], prepared: Sequence,
     on what came before, so it depends on every other select and every
     observe even when their matrices commute.  Any other pair is independent when
     its matrices commute at rounding level: a parametric kick's generator,
-    each eigenprojector of a measurement, the operator of the rest.
+    each eigenprojector of a measurement, the operator of the rest (two fixed
+    kicks up to a phase, as Pauli X and Y: only their conjugations act).
     """
     mats = [[op.operator.matrix] if op.parametric
             else m if op.kind == "measure" else [m] for op, m in zip(ops, prepared)]
@@ -194,7 +195,8 @@ def _independence(ops: Sequence[LocalOperation], prepared: Sequence,
         elif "select" in kinds and kinds <= {"select", "observe"}:
             free = False
         else:
-            free = all(commute(a, b) for a in mats[i] for b in mats[j])
+            phase = kinds == {"kick"} and not (ops[i].parametric or ops[j].parametric)
+            free = all(commute(a, b, phase) for a in mats[i] for b in mats[j])
         out[i, j] = out[j, i] = free
     return out
 

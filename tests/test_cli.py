@@ -146,7 +146,7 @@ def test_operations_report_states_the_order_check(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("extra, code, evaluated", [
     (["Z", "Z", "Z"], 0, 1),  # 120 extensions, commuting kicks: one class
-    (["X", "Z", "Y"], 0, 6),  # the kicks on C order six ways; B never sees them
+    (["X", "Z", "Y"], 0, 1),  # kicks on C anticommute: their conjugations commute
 ])
 def test_workload_documents_run_one_extension_per_class(tmp_path, capsys, extra,
                                                          code, evaluated):

@@ -1,4 +1,5 @@
 """Detector layer: perturbative split, scattering series, update rules."""
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -600,17 +601,110 @@ def test_tripartite_places_gates_on_their_factors(monkeypatch):
 
 
 def test_tripartite_forms_no_density_series(monkeypatch):
-    # every series product has a side of at most four columns: W's
-    widths = []
-    matmul = MatrixPoly.__matmul__
+    # with mixed rho_A and rho_B (r = 4 columns of W), every array the table
+    # contracts is the T series terms side by side, at most T * 4 columns
+    # wide; no series product and no d x d series is formed
+    fb = fock_backend(F12, [3, -3, 5], 3)
+    d, order = joint_space(fb, [BRIDGE, RECEIVER]).dim, 4
+    terms = math.comb(order + 3, 3)  # exponents of total <= order in 3 variables
+    shapes = []
+    apply = qops._apply_matrix
 
-    def recorded(self, other):
-        widths.append(min(max(m.shape[1] for m in p.terms.values())
-                          for p in (self, other)))
-        return matmul(self, other)
-    monkeypatch.setattr(MatrixPoly, "__matmul__", recorded)
-    tripartite_order_count(KICK, BRIDGE, RECEIVER, FB12, sigma_x, PLUS, PLUS, 4)
-    assert widths and max(widths) <= 4
+    def spy(op, labels, sp, m):
+        shapes.append(m.shape)
+        return apply(op, labels, sp, m)
+
+    def refuse(*args):
+        raise AssertionError("MatrixPoly series product formed")
+    monkeypatch.setattr("causalq.detectors._apply_matrix", spy)
+    monkeypatch.setattr(MatrixPoly, "__matmul__", refuse)
+    rng = np.random.default_rng(6)
+    tracemalloc.start()
+    try:
+        rep = tripartite_order_count(KICK, BRIDGE, RECEIVER, fb, sigma_x,
+                                     random_density(2, rng), random_density(2, rng), order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert shapes[-1] == (d, terms * 4)  # D_B on all terms, then the Gram product
+    assert all(rows == d and cols <= terms * 4 for rows, cols in shapes)
+    assert peak < terms * d * d * 16 / 4  # a quarter of one d x d series
+    assert max(rep.values()) > 1e-3
+
+
+def test_tripartite_refuses_early_switching_before_any_series(monkeypatch):
+    # the step order is checked before the kick series is built
+    calls = []
+    monkeypatch.setattr(MatrixPoly, "exp_apply", lambda *a: calls.append(a))
+    early = DetectorSpec("A", 0.8, 1.0, {0: 1.0, 3: 1.0}, {0: 1.0, 3: 0.1})
+    late_kick = SmearingFn({(4, 0): 1.0}, cells([(4, 0)], period=12))
+    with pytest.raises(ValueError, match="follow the kick step"):
+        tripartite_order_count(KICK, early, RECEIVER, FB12, sigma_x, GROUND, GROUND, 4)
+    with pytest.raises(ValueError, match="follow the kick step"):
+        tripartite_order_count(late_kick, None, RECEIVER, FB12, sigma_x, None, GROUND, 4)
+    assert calls == []
+
+
+def _product_oracle(monkeypatch, kick, a, b, fb, d_b, rho_a, rho_b, order):
+    """The table, and the same column series contracted as the MatrixPoly
+    product (U W)^dag @ (D_B U W) with one trace per exponent; also the
+    number r of columns of W."""
+    series = []
+    exp_apply = MatrixPoly.exp_apply
+
+    def recorded(self, *args):
+        series.append(exp_apply(self, *args))
+        return series[-1]
+    monkeypatch.setattr(MatrixPoly, "exp_apply", recorded)
+    got = tripartite_order_count(kick, a, b, fb, d_b, rho_a, rho_b, order)
+    monkeypatch.undo()
+    cols = series[-1]
+    sp = joint_space(fb, [b] if a is None else [a, b])
+    db = kron_embed(np.asarray(d_b, dtype=complex), [b.label], sp)
+    ydb = MatrixPoly(3, sp.dim, order, {e: db @ m for e, m in cols.terms.items()})
+    want = {k: 0.0 for k in range(1, order + 1)}
+    for e, m in (cols.dagger() @ ydb).terms.items():
+        if e[0]:
+            want[sum(e)] = max(want[sum(e)], abs(complex(np.trace(m))))
+    return got, want, next(iter(cols.terms.values())).shape[1]
+
+
+def _gram_cases():
+    # (modes, cutoff, rank of rho_A or 0 for no bridge, rank of rho_B, order):
+    # 1-3 modes, cutoffs 1-4, orders 2-6, with and without the bridge; pure
+    # states are diagonal or |+><+|, whose eigh gives exact zeros, so W has
+    # r = 1, 2 or 4 columns
+    rng = np.random.default_rng(1302)
+    pure = [GROUND, PLUS, np.diag([1.0, 0.0]).astype(complex)]
+    shapes = [([3, -3, 5], 1, 1, 1, 2), ([3, -3, 5], 2, 1, 2, 3), ([2, -1], 1, 2, 2, 4),
+              ([2], 4, 0, 2, 5), ([3, -3], 3, 1, 2, 6), ([1, -2, 4], 2, 0, 1, 6),
+              ([3, -3, 5], 4, 2, 2, 3), ([4, -1], 4, 2, 2, 6), ([5], 3, 0, 1, 4),
+              ([1], 2, 1, 1, 5)]
+    hermitian = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    observables = [sigma_x, sigma_y, hermitian + dag(hermitian)]
+    cases = []
+    for k, (modes, cutoff, ra, rb, order) in enumerate(shapes):
+        kick = SmearingFn({(0, 0): float(rng.uniform(0.5, 1.5))}, cells([(0, 0)], period=12))
+        rho_a = None if not ra else pure[(k + 1) % 3] if ra == 1 else random_density(2, rng)
+        rho_b = pure[k % 3] if rb == 1 else random_density(2, rng)
+        r = (ra or 1) * rb
+        name = "_".join(map(str, modes)) + f"-c{cutoff}-o{order}-r{r}"
+        cases.append(pytest.param(kick, BRIDGE if ra else None,
+                                  fock_backend(F12, modes, cutoff), observables[k % 3],
+                                  rho_a, rho_b, order, r,
+                                  id=name if ra else name + "-nobridge"))
+    return cases
+
+
+@pytest.mark.parametrize("kick, bridge, fb, d_b, rho_a, rho_b, order, r", _gram_cases())
+def test_gram_table_matches_series_product(monkeypatch, kick, bridge, fb, d_b,
+                                           rho_a, rho_b, order, r):
+    got, want, width = _product_oracle(monkeypatch, kick, bridge, RECEIVER, fb, d_b,
+                                       rho_a, rho_b, order)
+    assert width == r
+    assert set(got) == set(want) == set(range(1, order + 1))
+    assert max(abs(got[k] - want[k]) for k in got) <= 1e-12
+    assert max(want.values()) > 1e-6  # the comparison is not between zeros
 
 
 def test_matrix_poly_exp_apply_matches_exp_linear_product():

@@ -433,3 +433,26 @@ def test_every_site_applies_one_hermiticity_rule(m, hermitian):
         except (CausalqError, ValueError) as e:
             verdicts[name] = "Hermitian" not in str(e)
     assert verdicts == dict.fromkeys(verdicts, hermitian)
+
+
+def test_commute_up_to_a_phase_on_rotated_pauli_strings():
+    # any two Pauli strings commute or anticommute, and so do their images
+    # under one Haar rotation, with any global phase; a generic unitary pair
+    # does neither
+    rng = np.random.default_rng(1993)
+    paulis = (np.eye(2), q.sigma_x, q.sigma_y, q.sigma_z)
+
+    def rotated_string(u, n):
+        s = np.exp(2j * np.pi * rng.random()) * np.eye(1)
+        for k in rng.integers(4, size=n):
+            s = np.kron(s, paulis[k])
+        return u @ s @ q.dag(u)
+    anticommuting = 0
+    for _ in range(40):
+        n = int(rng.integers(1, 4))
+        u = ro.haar_unitary(2 ** n, rng)
+        a, b = rotated_string(u, n), rotated_string(u, n)
+        assert q.commute(a, b, phase=True)
+        anticommuting += not q.commute(a, b)
+        assert not q.commute(*(ro.haar_unitary(2 ** n, rng) for _ in "ab"), phase=True)
+    assert anticommuting >= 10

@@ -254,15 +254,20 @@ def _all_extensions(s):
 def _dependent_pairs(s, leq):
     """Incomparable pairs whose order may change a recorded value, decided on
     the operators themselves (a measurement commutes with an operator exactly
-    when its observable does)."""
+    when its observable does; two fixed kicks act by conjugation, so they need
+    commute only up to the best phase c = tr((ba)^dag ab) / d)."""
     out = []
     for i, j in combinations(range(len(s.operations)), 2):
         a, b = s.operations[i], s.operations[j]
         kinds = {a.kind, b.kind}
         if leq[i, j] or leq[j, i] or kinds == {"observe"}:
             continue
+        ab = a.operator.matrix @ b.operator.matrix
+        ba = b.operator.matrix @ a.operator.matrix
+        phase = kinds == {"kick"} and not (a.parametric or b.parametric)
+        c = np.trace(q.dag(ba) @ ab) / len(ab) if phase else 1.0
         if ("select" in kinds and kinds <= {"select", "observe"}
-                or q.opnorm(q.commutator(a.operator.matrix, b.operator.matrix)) > 1e-9):
+                or q.opnorm(ab - c * ba) > 1e-9):
             out.append((i, j))
     return out
 
@@ -344,7 +349,8 @@ def test_commutator_of_1e_12_keeps_both_orders():
 
 
 def test_workload_document_runs_one_extension_per_class(monkeypatch):
-    # 20 linear extensions; the X and Y kicks on C are the only dependent pair
+    # 20 linear extensions; the X and Y kicks on C anticommute, so their
+    # conjugations commute and every extension is one class
     doc = operations_document(np.random.default_rng(3), ["X", "Y"])
     s = build_scenario(doc)
     assert len(list(sc.build_order([op.region for op in s.operations])
@@ -353,8 +359,58 @@ def test_workload_document_runs_one_extension_per_class(monkeypatch):
     apply = sc._apply
     monkeypatch.setattr(sc, "_apply", lambda *a: calls.append(a[1]) or apply(*a))
     sc.run(s, {"g": 0.4})
-    assert len(calls) <= 2 * len(s.operations)
+    assert len(calls) <= len(s.operations)
+    assert s.order_check == ("classes", 1)
+
+
+def _two_kicks(u, v):
+    sp = q.qubit_space("A", "B")
+    ops = (sc.kick(q.embed(u, "A", sp), rect(0, 1, -6, -5)),
+           sc.kick(q.embed(v, "A", sp), rect(0, 1, 5, 6)),
+           sc.observe(q.embed(q.sigma_z, "A", sp), rect(20, 21, 0, 1), "C"))
+    return sc.Scenario(sp, q.pure_state(np.eye(4)[0], sp), ops)
+
+
+def test_kicks_that_commute_up_to_a_phase_are_one_class():
+    # XY = -YX and ZX = -XZ: the conjugations commute, so one order is enough
+    for u, v in ((q.sigma_x, q.sigma_y), (q.sigma_z, 1j * q.sigma_x),
+                 (q.sigma_x, np.exp(0.3j) * q.sigma_x)):
+        assert q.commute(u, v, phase=True)
+        s = _two_kicks(u, v)
+        assert s.extensions == ((0, 1, 2),)
+        assert s.order_check == ("classes", 1)
+        for w in (v @ u, u @ v):  # both orders record the same value
+            psi = w[:, 0]
+            assert sc.run(s)["C"] == pytest.approx(
+                np.real(np.vdot(psi, q.sigma_z @ psi)), abs=1e-15)
+
+
+def test_kicks_that_miss_a_phase_by_1e_12_keep_both_orders():
+    # V = Y exp(i theta Z): XV = -exp(2 i theta Z) VX, which no phase absorbs;
+    # the best phase leaves ||XV - c VX||_F = 4 sin(theta) cos(theta) on two qubits
+    theta = 1e-12 / 4
+    v = q.sigma_y @ q.expih(q.sigma_z, theta)
+    x4, v4 = (np.kron(m, np.eye(2)) for m in (q.sigma_x, v))
+    c = np.trace(q.dag(v4 @ x4) @ x4 @ v4) / 4
+    assert abs(c + 1) < 1e-15
+    assert np.linalg.norm(x4 @ v4 - c * v4 @ x4) == pytest.approx(1e-12, rel=1e-3)
+    assert not q.commute(x4, v4, phase=True)
+    s = _two_kicks(q.sigma_x, v)
+    assert s.extensions == ((0, 1, 2), (1, 0, 2))
     assert s.order_check == ("classes", 2)
+
+
+def test_phase_rule_applies_to_fixed_kicks_only():
+    # a parametric kick's generator and a measurement still need exact
+    # commutation: X against Y stays ordered for them
+    sp = q.qubit_space("A")
+    x, y = (q.embed(m, "A", sp) for m in (q.sigma_x, q.sigma_y))
+    obs = sc.observe(q.embed(q.sigma_z, "A", sp), rect(20, 21, 0, 1), "C")
+    for first in (sc.kick_generator(x, rect(0, 1, -6, -5), "g"),
+                  sc.measure(x, rect(0, 1, -6, -5))):
+        s = sc.Scenario(sp, q.pure_state(np.eye(2)[0], sp),
+                        (first, sc.kick(y, rect(0, 1, 5, 6)), obs))
+        assert s.order_check == ("classes", 2)
 
 
 def test_more_classes_than_the_cap_run_the_first_and_say_so(monkeypatch):
