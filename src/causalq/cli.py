@@ -24,22 +24,23 @@ import numpy as np
 
 from . import __version__
 from .causal import spacelike
-from .config import DEFAULT, Tolerances, with_overrides
+from .config import Tolerances, with_overrides
 from .detectors import signal_noise_split, trace_norm, tripartite_order_count
 from .errors import (CausalqError, ParseError, UnknownParameter,
                      UnknownPreset, ValidationError)
 from .fv import (bostelmann_check, bostelmann_preset, cnot_preset,
                  corollary6_check, induced_observable, scattering_map)
 from .histories import decoherence, fuksa_bipartite, fuksa_tripartite
-from .qops import opnorm, sigma_x
+from .qops import PAULI, opnorm, sigma_x
 from .random_ops import random_density, random_effect
 from .scenarios import _worst_commutator, pauli_strings
 from .scenarios import run as run_scenario
-from .serial import (build_detector_pair, build_family, build_scenario,
-                     build_tripartite, document_digest, fmt17, grid_values,
-                     load_document)
+from .serial import (GRID, PAYLOADS, build_detector_pair, build_family,
+                     build_scenario, build_tripartite, document_digest, fmt17,
+                     grid_values, load_document, validate)
 
-# detector ground state in the monopole convention used by the lattice models
+# |1><1|, the upper level under `detectors.monopole` (sigma_p raises |0> to |1>),
+# not the ground state; the benchmark oracle and the preset tables pin it
 _GROUND = np.diag([0.0, 1.0]).astype(complex)
 
 
@@ -85,16 +86,13 @@ class RunReport:
 
 
 def _tolerances(doc: dict) -> Tolerances:
-    tol = DEFAULT
+    """Defaults, then the `CAUSALQ_TOL_OVERRIDES` file, then the document's section."""
     env = os.environ.get("CAUSALQ_TOL_OVERRIDES")
     try:
-        if env:
-            with open(env, "r", encoding="utf-8") as fh:
-                tol = with_overrides(json.load(fh), tol)
-        tol = with_overrides(doc.get("tolerances"), tol)
+        tol = with_overrides(json.loads(Path(env).read_text("utf-8")) if env else None)
     except (OSError, ValueError) as e:  # json.JSONDecodeError is a ValueError
         raise ValidationError(f"bad tolerance overrides: {e}") from e
-    return tol
+    return with_overrides(doc.get("tolerances"), tol)  # the schema has checked it
 
 
 def _write_report(rep: RunReport, out_dir: Path, stem: str) -> Path:
@@ -126,7 +124,7 @@ def _write_rows(rep: RunReport, out_dir: Path, stem: str, fmt: str) -> Path | No
 
 def _payload(doc: dict) -> str:
     """Payload section; detector documents add their entry ("detectors.pair")."""
-    for key in ("operations", "family", "fv_preset", "detectors"):
+    for key in PAYLOADS:
         if key in doc:
             return f"detectors.{next(iter(doc[key]))}" if key == "detectors" else key
     raise ValidationError("document has no payload section")
@@ -276,11 +274,9 @@ def _check_borsten(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
 
 
 def _pauli_name(index: int, labels: list[str]) -> str:
-    digits = []
-    for _ in labels:
-        digits.append("IXYZ"[index % 4])
-        index //= 4
-    return "".join(reversed(digits)) + "@" + ",".join(labels)
+    """`pauli_strings(space, labels)[index]` by name: base-4 digits in `PAULI` order."""
+    digits = [tuple(PAULI)[index // 4 ** k % 4] for k in reversed(range(len(labels)))]
+    return "".join(digits) + "@" + ",".join(labels)
 
 
 def _check_fuksa(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
@@ -359,6 +355,7 @@ def _parse_grid(spec: str | None) -> tuple[float, ...]:
     except ValueError as e:
         raise ValidationError(
             f"--grid {spec!r} is neither start:stop:count nor v1,v2,...") from e
+    validate(grid, GRID, ("--grid",))  # the rules a document's sweep grid obeys
     return grid_values({"grid": grid})
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import numbers
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -29,15 +30,21 @@ class Tolerances:
 
 DEFAULT = Tolerances()
 
+
+def finite(x) -> bool:
+    """Whether the real number `x` lies in the finite double range; NaN does not."""
+    return abs(x) <= sys.float_info.max
+
+
 # configuration key "tol.<name>" for every dataclass field
-_KEYS = {f"tol.{f.name}": f.name for f in dataclasses.fields(Tolerances)}
+TOL_KEYS = {f"tol.{f.name}": f.name for f in dataclasses.fields(Tolerances)}
 
 
 def with_overrides(overrides: Mapping | None, base: Tolerances = DEFAULT) -> Tolerances:
     """Apply a ``{"tol.<name>": value}`` mapping on top of ``base``.
 
     Raises ``ValueError`` for an unknown key, when ``overrides`` is not a
-    mapping, or when a value is not a real number.
+    mapping, or when a value is not a real number or not a finite double.
     """
     if overrides is not None and not isinstance(overrides, Mapping):
         raise ValueError(
@@ -46,9 +53,11 @@ def with_overrides(overrides: Mapping | None, base: Tolerances = DEFAULT) -> Tol
         return base
     kw = {}
     for key, value in overrides.items():
-        if key not in _KEYS:
+        if key not in TOL_KEYS:
             raise ValueError(f"unknown tolerance key {key!r}")
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{key} must be a real number, not {value!r}")
-        kw[_KEYS[key]] = float(value)
+        if not finite(value):  # before float(), which overflows on huge ints
+            raise ValueError(f"{key} is not a finite double")
+        kw[TOL_KEYS[key]] = float(value)
     return base.replace(**kw)

@@ -40,7 +40,7 @@ __all__ = [
     "herm_defect", "expih", "luders_sum", "select_outcome", "check_unitary",
     "check_effect", "projector_defect", "is_hermitian", "is_projector",
     "check_density",
-    "sigma_x", "sigma_y", "sigma_z", "sigma_p", "sigma_m", "eye2",
+    "sigma_x", "sigma_y", "sigma_z", "sigma_p", "sigma_m", "eye2", "PAULI",
 ]
 
 MAX_DIM = 2 ** 14
@@ -52,6 +52,8 @@ sigma_z = np.array([[1, 0], [0, -1]], dtype=complex)
 sigma_p = np.array([[0, 0], [1, 0]], dtype=complex)
 sigma_m = np.array([[0, 1], [0, 0]], dtype=complex)
 eye2 = np.eye(2, dtype=complex)
+# the Pauli table by letter; its key order is the digit order of Pauli strings
+PAULI = {"I": eye2, "X": sigma_x, "Y": sigma_y, "Z": sigma_z}
 
 
 def dag(a: np.ndarray) -> np.ndarray:

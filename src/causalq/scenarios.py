@@ -31,15 +31,15 @@ from .config import DEFAULT, Tolerances
 from .errors import (BasisEmpty, NotEffect, NotHermitian, OrderSensitivity,
                      SpaceMismatch, UnknownParameter, UnknownPreset)
 from .field import FieldModel, fock_backend
-from .qops import (DensityState, LocalOperator, ProductSpace, check_unitary,
-                   commutator, commute, dag, embed, expih, eye2, is_hermitian,
-                   is_projector, luders_sum, opnorm, pure_state,
-                   qubit_space, select_outcome, sigma_x, sigma_y, sigma_z,
+from .qops import (PAULI, DensityState, LocalOperator, ProductSpace,
+                   check_unitary, commutator, commute, dag, embed, expih,
+                   is_hermitian, is_projector, luders_sum, opnorm, pure_state,
+                   qubit_space, select_outcome, sigma_x, sigma_z,
                    spectral_resolution)
 
 __all__ = [
-    "MAX_EXTENSIONS", "LocalOperation", "Scenario", "SignallingReport",
-    "kick", "kick_generator", "measure", "select", "observe",
+    "MAX_EXTENSIONS", "MAX_OPERATIONS", "LocalOperation", "Scenario",
+    "SignallingReport", "kick", "kick_generator", "measure", "select", "observe",
     "run", "signalling_delta", "borsten_check", "borsten_violation",
     "pauli_strings", "preset", "PRESET_NAMES",
 ]
@@ -47,6 +47,8 @@ __all__ = [
 # class representatives the order check runs at most: 6!, every extension of
 # a six-operation scenario
 MAX_EXTENSIONS = 720
+# operations a scenario holds at most; the document schema states the same cap
+MAX_OPERATIONS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,8 +115,8 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "operations", tuple(self.operations))
-        if len(self.operations) > 8:
-            raise ValueError("at most 8 operations per scenario")
+        if len(self.operations) > MAX_OPERATIONS:
+            raise ValueError(f"at most {MAX_OPERATIONS} operations per scenario")
         if self.initial.space != self.space:
             raise SpaceMismatch("initial state is not on the scenario space")
         for op in self.operations:
@@ -314,19 +316,16 @@ def borsten_check(a2: LocalOperator, bins,
     return worst < tol.operator, worst, witness
 
 
-_PAULI = {"I": eye2, "X": sigma_x, "Y": sigma_y, "Z": sigma_z}
-
-
 def pauli_strings(sp: ProductSpace, labels: Sequence[str]) -> list[LocalOperator]:
     """All Pauli products on the given qubit factors, embedded in the space."""
     for l in labels:
         if sp.dim_of(l) != 2:
             raise ValueError(f"factor {l!r} is not a qubit")
     out = []
-    for combo in iproduct("IXYZ", repeat=len(labels)):
+    for combo in iproduct(PAULI.values(), repeat=len(labels)):
         m = np.array([[1.0 + 0j]])
         for c in combo:
-            m = np.kron(m, _PAULI[c])
+            m = np.kron(m, c)
         out.append(embed(m, list(labels), sp))
     return out
 

@@ -6,34 +6,33 @@ a small product space), `family` (a projective history family), `fv_preset`
 (a named circuit probe configuration), or `detectors` (lattice detector
 pairs / the kick-bridge-receiver triple).  `geometry`, `space`, `field`,
 `sweep`, and `tolerances` supply the shared ingredients.  The schema rejects
-unknown keys everywhere, so typos fail loudly before anything is built.
+unknown keys and numbers that are not finite doubles, before anything is built.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
-import re
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .causal import cells, fig2_preset, rect
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT, TOL_KEYS, Tolerances, finite
 from .detectors import DetectorSpec
 from .errors import ParseError, TruncationTooLarge, ValidationError
 from .field import FieldModel, FockBackend, SmearingFn, fock_backend
 from .histories import HistoryFamily
-from .qops import (DensityState, LocalOperator, ProductSpace,
-                   ProjectiveResolution, embed, eye2, pure_state, qubit_space,
-                   sigma_x, sigma_y, sigma_z, space, spectral_resolution)
-from .scenarios import (LocalOperation, Scenario, kick, kick_generator,
-                        measure, observe, select)
+from .qops import (PAULI, DensityState, LocalOperator, ProductSpace,
+                   ProjectiveResolution, embed, pure_state, qubit_space, space,
+                   spectral_resolution)
+from .scenarios import (MAX_OPERATIONS, LocalOperation, Scenario, kick,
+                        kick_generator, measure, observe, select)
 
 __all__ = [
-    "SCHEMA", "load_document", "dump_document", "document_digest", "fmt17",
+    "SCHEMA", "PAYLOADS", "GRID", "validate", "load_document", "dump_document",
+    "document_digest", "fmt17",
     "build_space", "build_state", "build_regions", "build_operator",
     "build_scenario", "build_family", "build_detector_pair",
     "build_tripartite", "grid_values",
@@ -50,8 +49,9 @@ def _pair(kind: str) -> dict:
     return {"type": "array", "items": {"type": kind}, "minItems": 2, "maxItems": 2}
 
 
+# each entry a real number or a [re, im] pair; `items` and the bounds bind arrays only
 _NUMVEC = {"type": "array", "minItems": 1,
-           "items": {"oneOf": [{"type": "number"}, _pair("number")]}}
+           "items": {**_pair("number"), "type": ["number", "array"]}}
 _MATRIX = {"type": "array", "minItems": 1,
            "items": {"type": "array", "minItems": 1, "items": {"type": "number"}}}
 _WEIGHTS = {"type": "object", "minProperties": 1,
@@ -85,6 +85,15 @@ _DETSPEC = _obj(
      "smearing": _WEIGHTS},
     required=["label", "gap", "coupling"])
 
+# the payload sections, of which a document holds exactly one
+PAYLOADS = ("operations", "family", "fv_preset", "detectors")
+# a sweep grid: explicit values, or `count` evenly spaced points from start to stop
+GRID = {**_obj({"start": {"type": "number"},
+                "stop": {"type": "number"},
+                "count": {"type": "integer", "minimum": 1}},
+               required=["start", "stop", "count"]),
+        "type": ["array", "object"], "minItems": 1, "items": {"type": "number"}}
+
 SCHEMA = _obj({
     "geometry": _obj(
         {"preset": {"const": "fig2"},
@@ -108,7 +117,7 @@ SCHEMA = _obj({
              {"kick_step": {"type": "integer", "minimum": 0},
               "kick_site": {"type": "integer", "minimum": 0},
               "kick_strength": {"type": "number"},
-              "bridge": {"oneOf": [_DETSPEC, {"type": "null"}]},
+              "bridge": {**_DETSPEC, "type": ["object", "null"]},
               "receiver": _DETSPEC,
               "modes": {"type": "array", "minItems": 1, "items": {"type": "integer"}},
               "cutoff": {"type": "integer", "minimum": 2},
@@ -116,7 +125,7 @@ SCHEMA = _obj({
              required=["kick_step", "kick_site", "receiver", "modes", "cutoff"])},
         oneOf=[{"required": ["pair"]}, {"required": ["tripartite"]}]),
     "operations": {
-        "type": "array", "minItems": 1, "maxItems": 8,
+        "type": "array", "minItems": 1, "maxItems": MAX_OPERATIONS,
         "items": _obj(
             {"kind": {"enum": ["kick", "kick_generator", "measure", "select",
                                "observe"]},
@@ -140,20 +149,10 @@ SCHEMA = _obj({
          "seed": {"type": "integer", "minimum": 0}},
         required=["name"]),
     "sweep": _obj(
-        {"param": {"type": "string"},
-         "grid": {"oneOf": [
-             {"type": "array", "items": {"type": "number"}},
-             _obj({"start": {"type": "number"},
-                   "stop": {"type": "number"},
-                   "count": {"type": "integer", "minimum": 1}},
-                  required=["start", "stop", "count"]),
-         ]}},
+        {"param": {"type": "string"}, "grid": GRID},
         required=["param", "grid"]),
-    "tolerances": {
-        "type": "object", "additionalProperties": False,
-        "patternProperties": {r"^tol\.[a-z_]+$": {"type": "number"}},
-    },
-}, oneOf=[{"required": [k]} for k in ("operations", "family", "fv_preset", "detectors")])
+    "tolerances": _obj({key: {"type": "number"} for key in TOL_KEYS}),
+}, oneOf=[{"required": [k]} for k in PAYLOADS])
 
 _TYPES = {"object": (dict,), "array": (list,), "string": (str,), "boolean": (bool,),
           "null": (type(None),), "number": (int, float), "integer": (int,)}
@@ -170,16 +169,20 @@ def _is(value, kind: str) -> bool:
 def _errors(value, schema: Mapping, path: tuple):
     """Yield ``(path, message)`` for each way the JSON `value` breaks `schema`.
 
-    Covers the keywords `SCHEMA` uses, with JSON Schema 2020-12 semantics,
-    applied in the schema's key order; the tests hold the first error by path
-    to a reference validator.  `SCHEMA`'s consts and enums are strings, for
-    which Python equality is JSON equality.
+    Covers the keywords `SCHEMA` uses, with JSON Schema 2020-12 semantics save
+    that numbers are finite doubles, in the schema's key order; the tests hold
+    the first error by path to a reference validator.  `SCHEMA`'s consts and
+    enums are strings, for which Python equality is JSON equality.
     """
     obj, arr, num = isinstance(value, dict), isinstance(value, list), _is(value, "number")
     for key, arg in schema.items():
         if key == "type":
             kinds = arg if isinstance(arg, list) else [arg]
-            if not any(_is(value, k) for k in kinds):
+            # a number must also be a finite double; a huge int is named by size
+            if type(value) in (int, float) and not finite(value):
+                yield path, (f"a {value.bit_length()}-bit integer" if type(value) is int
+                             else repr(value)) + " is not a finite double"
+            elif not any(_is(value, k) for k in kinds):
                 yield path, f"{value!r} is not of type {', '.join(map(repr, kinds))}"
         elif key == "const" and value != arg:
             yield path, f"{arg!r} was expected"
@@ -196,27 +199,21 @@ def _errors(value, schema: Mapping, path: tuple):
         elif key == "properties" and obj:
             for k in arg.keys() & value.keys():
                 yield from _errors(value[k], arg[k], path + (k,))
-        elif key == "patternProperties" and obj:
-            for k in value:
-                for pattern in (p for p in arg if re.search(p, k)):
-                    yield from _errors(value[k], arg[pattern], path + (k,))
         elif key == "additionalProperties" and obj:
-            pats = schema.get("patternProperties", {})
-            extras = sorted(k for k in value if k not in schema.get("properties", {})
-                            and not any(re.search(p, k) for p in pats))
+            extras = sorted(k for k in value if k not in schema.get("properties", {}))
             if arg is not False:
                 for k in extras:
                     yield from _errors(value[k], arg, path + (k,))
-            elif extras and pats:
-                yield path, (f"{_reprs(extras)} {'does' if len(extras) == 1 else 'do'} "
-                             f"not match any of the regexes: {_reprs(sorted(pats))}")
             elif extras:
                 yield path, (f"Additional properties are not allowed ({_reprs(extras)} "
                              f"{'was' if len(extras) == 1 else 'were'} unexpected)")
         elif key == "items" and arr:
-            # one flat pass: recurse only into elements of types a bare `type` omits
-            fast = _TYPES[arg["type"]] if arg.keys() == {"type"} else ()
-            for i in [i for i, v in enumerate(value) if type(v) not in fast]:
+            # one flat pass under a bare number `type`: recurse only into the
+            # elements of other Python types and the numbers that are not finite
+            bare = arg.keys() == {"type"} and arg["type"] in ("number", "integer")
+            fast = _TYPES[arg["type"]] if bare else ()
+            for i in [i for i, v in enumerate(value)
+                      if type(v) not in fast or not finite(v)]:
                 yield from _errors(value[i], arg, path + (i,))
         elif key == "minItems" and arr and len(value) < arg:
             yield path, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
@@ -237,27 +234,30 @@ def _reprs(items) -> str:
     return ", ".join(map(repr, items))
 
 
-def _finite(literal: str, parse=float):
-    """json number hook refusing NaN, +-Infinity and literals that overflow."""
-    value = float(literal)
-    if not math.isfinite(value):
-        raise ParseError(f"number {literal} is not a finite double")
-    return value if parse is float else parse(literal)
+def _constant(literal: str):
+    """json hook for the NaN, Infinity and -Infinity literals: refuse them."""
+    raise ParseError(f"number {literal} is not a finite double")
 
 
-def load_document(path) -> dict:
-    """Parse (finite numbers only) and schema-validate a scenario file."""
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text, parse_float=_finite, parse_constant=_finite,
-                         parse_int=lambda s: _finite(s, int))
-    except json.JSONDecodeError as e:
-        raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
-    # the first error by path; ties keep the order the schema's keys give
-    first = min(_errors(doc, SCHEMA, ()), key=lambda e: e[0], default=None)
+def validate(value, schema: Mapping = SCHEMA, path: tuple = ()) -> None:
+    """Raise ``ValidationError`` with the first error by path, as ``path: message``;
+    ties keep the order the schema's keys give."""
+    first = min(_errors(value, schema, path), key=lambda e: e[0], default=None)
     if first is not None:
         where = "/".join(map(str, first[0])) or "(top level)"
         raise ValidationError(f"{where}: {first[1]}")
+
+
+def load_document(path) -> dict:
+    """Parse and schema-validate a scenario file."""
+    text = Path(path).read_text()
+    try:
+        doc = json.loads(text, parse_constant=_constant)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except ValueError as e:  # an integer literal past Python's digit limit
+        raise ParseError(str(e)) from e
+    validate(doc)
     return doc
 
 
@@ -276,9 +276,6 @@ def fmt17(x) -> str:
 
 
 # -- builders -----------------------------------------------------------------
-
-_PAULI = {"I": eye2, "X": sigma_x, "Y": sigma_y, "Z": sigma_z}
-
 
 def _complex_vector(items) -> np.ndarray:
     out = [complex(v) if np.isscalar(v) else complex(v[0], v[1]) for v in items]
@@ -333,7 +330,7 @@ def build_operator(spec: Mapping, sp: ProductSpace) -> LocalOperator:
             raise ValidationError(f"no factor {label!r} in {sp.labels}")
         if sp.dim_of(label) != 2:
             raise ValidationError(f"factor {label!r} is not a qubit")
-        return embed(_PAULI[spec["pauli"]], label, sp)
+        return embed(PAULI[spec["pauli"]], label, sp)
     if "projector" in spec:
         v = _complex_vector(spec["projector"])
         if v.size != sp.dim:
@@ -491,11 +488,6 @@ def build_tripartite(doc: Mapping) -> tuple[SmearingFn, DetectorSpec | None,
 
 def grid_values(sweep: Mapping) -> tuple[float, ...]:
     g = sweep["grid"]
-    if isinstance(g, dict):
-        if g["count"] < 1:
-            raise ValidationError(
-                f"sweep grid count must be at least 1, not {g['count']}")
+    if isinstance(g, dict):  # the schema holds grids to at least one point
         g = np.linspace(g["start"], g["stop"], g["count"])
-    if len(g) == 0:
-        raise ValidationError("sweep grid is empty")
     return tuple(float(v) for v in g)

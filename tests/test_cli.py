@@ -17,7 +17,8 @@ from causalq.cli import main
 from causalq.detectors import tripartite_order_count
 from causalq.errors import ParseError, ValidationError
 from causalq.histories import decoherence
-from causalq.qops import sigma_x
+from causalq.qops import PAULI, embed, qubit_space, sigma_x
+from causalq.scenarios import pauli_strings
 from causalq.serial import (build_detector_pair, build_family, build_tripartite,
                             document_digest, dump_document, fmt17, load_document)
 
@@ -251,6 +252,16 @@ def test_report_metadata_fields(tmp_path, capsys):
 
 
 # check command
+
+def test_pauli_names_follow_pauli_strings():
+    sp = qubit_space("A", "B", "C")
+    labels = ["A", "C"]
+    for i, op in enumerate(pauli_strings(sp, labels)):
+        word, at = cli_module._pauli_name(i, labels).split("@")
+        assert at == "A,C"
+        m = np.kron(PAULI[word[0]], PAULI[word[1]])
+        assert np.array_equal(op.matrix, embed(m, labels, sp).matrix), word
+
 
 def test_check_borsten_flags_violating_measure(tmp_path, capsys):
     rc, out, _ = cli(capsys, "check", PRESETS / "borsten_qubit.json",
@@ -494,18 +505,46 @@ def test_non_hermitian_kick_generator_is_a_checked_error(tmp_path, capsys):
     assert err == "error: NotHermitian: kick generator must be Hermitian\n"
 
 
-@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999",
-                                     "1" + "0" * 400],
-                         ids=["nan", "infinity", "minus_infinity", "overflow",
-                              "overflow_int"])
-def test_non_finite_number_exit_2(tmp_path, capsys, literal):
+@pytest.mark.parametrize("literal, message", [
+    ("NaN", "number NaN is not a finite double"),
+    ("Infinity", "number Infinity is not a finite double"),
+    ("-Infinity", "number -Infinity is not a finite double"),
+    # the parser reads these as inf and an int; the schema walk refuses them
+    ("1e999", "space/state/0: inf is not a finite double"),
+    ("1" + "0" * 400, "space/state/0: a 1329-bit integer is not a finite double"),
+], ids=["nan", "infinity", "minus_infinity", "overflow", "overflow_int"])
+def test_non_finite_number_exit_2(tmp_path, capsys, literal, message):
     doc = load_document(PRESETS / "borsten_qubit.json")
     doc["space"]["state"][0] = "HOLE"
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc).replace('"HOLE"', literal))
     rc, _, err = cli(capsys, "run", path, "--out", tmp_path)
     assert rc == 2
-    assert err == f"input error: number {literal} is not a finite double\n"
+    assert err == f"input error: {message}\n"
+    assert not list(tmp_path.glob("doc.*.*"))
+
+
+@pytest.mark.parametrize("preset, old, new, where", [
+    ("borsten_qubit", "[0, 0, 0, -1]", "[0, 0, 0, -1e999]",
+     "operations/1/operator/matrix/3/3"),
+    ("borsten_qubit", '"count": 33', '"count": 1' + "0" * 400, "sweep/grid/count"),
+    ("detector_pair", '"sites": 64', '"sites": 1' + "0" * 400, "field/sites"),
+    ("detector_pair", '"coupling": 0.4', '"coupling": 1e400',
+     "detectors/pair/1/coupling"),
+    ("detector_pair", '"field": {', '"tolerances": {"tol.operator": 1e999}, "field": {',
+     "tolerances/tol.operator"),
+    ("tripartite_orders", '"gap": 0.8', '"gap": 1e999', "detectors/tripartite/bridge/gap"),
+], ids=["matrix_entry", "grid_count", "integer_field", "coupling", "tolerance", "bridge"])
+def test_overflowing_literal_named_at_its_path(tmp_path, capsys, preset, old, new, where):
+    text = (PRESETS / f"{preset}.json").read_text()
+    assert old in text
+    path = tmp_path / "doc.json"
+    path.write_text(text.replace(old, new))
+    rc, _, err = cli(capsys, "run", path, "--out", tmp_path)
+    assert rc == 2
+    assert err.startswith(f"input error: {where}: ")
+    assert err.endswith(" is not a finite double\n") and len(err) < 100
+    assert not list(tmp_path.glob("doc.*.*"))
 
 
 @pytest.mark.parametrize("times", [[1.0, 0.0], [0.0, 1.0, 2.0]],
@@ -843,8 +882,9 @@ def test_unknown_tolerance_key_exit_2(tmp_path, capsys):
     rc, _, err = cli(capsys, "check", write_doc(tmp_path, doc),
                      "--suite", "fv", "--out", tmp_path)
     assert rc == 2
-    assert "tolerance" in err
-    assert err == "input error: bad tolerance overrides: unknown tolerance key 'tol.nope'\n"
+    # the schema lists the tolerance keys, so the document is refused at load
+    assert err == ("input error: tolerances: Additional properties are not allowed "
+                   "('tol.nope' was unexpected)\n")
 
 
 def test_run_tripartite_reports_skipped_sweep(tmp_path, capsys):
@@ -880,6 +920,52 @@ def test_sweep_malformed_grid_exit_2(tmp_path, capsys, grid):
                      "--param", "gamma", "--grid", grid, "--out", tmp_path)
     assert rc == 2
     assert err.startswith("input error:")
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("nan,1", "--grid/0: nan is not a finite double"),
+    ("0,-inf", "--grid/1: -inf is not a finite double"),
+    ("0:inf:3", "--grid/stop: inf is not a finite double"),
+    ("0:1:0", "--grid/count: 0 is less than the minimum of 1"),
+], ids=["nan", "minus_inf", "inf_stop", "zero_count"])
+def test_sweep_grid_walked_by_the_schema(tmp_path, capsys, grid, message):
+    """--grid obeys the rules of a document's sweep grid, with its own path."""
+    rc, _, err = cli(capsys, "sweep", PRESETS / "borsten_qubit.json",
+                     "--param", "gamma", "--grid", grid, "--out", tmp_path)
+    assert rc == 2
+    assert err == f"input error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+# json.load reads these as NaN, inf, inf and a 400-digit int
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e999", "1" + "0" * 400],
+                         ids=["nan", "infinity", "overflow", "overflow_int"])
+def test_non_finite_env_tolerance_exit_2(tmp_path, capsys, monkeypatch, literal):
+    tolfile = tmp_path / "tol.json"
+    tolfile.write_text('{"tol.operator": %s}' % literal)
+    monkeypatch.setenv("CAUSALQ_TOL_OVERRIDES", str(tolfile))
+    out = tmp_path / "out"
+    rc, _, err = cli(capsys, "run", PRESETS / "detector_pair.json", "--out", out)
+    assert rc == 2
+    assert err == ("input error: bad tolerance overrides: "
+                   "tol.operator is not a finite double\n")
+    assert not out.exists()
+
+
+def test_nan_unitary_tolerance_does_not_pass_a_non_unitary_kick(tmp_path, capsys,
+                                                                monkeypatch):
+    doc = load_document(PRESETS / "borsten_qubit.json")
+    doc["operations"].insert(0, {"kind": "kick", "region": "O1",
+                                 "operator": {"matrix": (2 * np.eye(4)).tolist()}})
+    path = write_doc(tmp_path, doc)
+    rc, _, err = cli(capsys, "run", path, "--out", tmp_path / "default")
+    assert rc == 3 and "kick operator is not unitary" in err
+    tolfile = tmp_path / "tol.json"
+    tolfile.write_text('{"tol.unitary": NaN}')
+    monkeypatch.setenv("CAUSALQ_TOL_OVERRIDES", str(tolfile))
+    rc, _, err = cli(capsys, "run", path, "--out", tmp_path / "nan")
+    assert rc == 2
+    assert "tol.unitary is not a finite double" in err
 
 
 def test_check_detector_refuses_tripartite_before_building(tmp_path, capsys,

@@ -36,7 +36,7 @@ F8 = FieldModel(0.0, 8)
 FB8 = fock_backend(F8, [2, -2], 4)
 F64 = FieldModel(0.0, 64)
 
-GROUND = np.diag([0.0, 1.0]).astype(complex)
+GROUND = np.diag([0.0, 1.0]).astype(complex)  # the CLI's |1><1|, the upper level
 PLUS = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
 PSI_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
 
@@ -54,6 +54,15 @@ def test_monopole_values():
     assert np.allclose(monopole(np.pi / 2, 1.0), sigma_y, atol=1e-12)
     m = monopole(0.7, 2.3)
     assert opnorm(m - dag(m)) < 1e-12
+
+
+@pytest.mark.parametrize("gap, t", [(0.8, 1.3), (0.6, -2.0), (1.0, 0.25)])
+def test_monopole_is_heisenberg_picture_with_upper_level_one(gap, t):
+    """mu(t) = e^{iHt} mu(0) e^{-iHt} for H = gap |1><1|: |1> is the upper
+    level, so |1><1| is the excited state and |0><0| the ground state."""
+    u = np.diag([1.0, np.exp(1j * gap * t)])  # e^{iHt}
+    assert np.allclose(monopole(gap, t), u @ monopole(gap, 0.0) @ dag(u),
+                       rtol=0, atol=1e-15)
 
 
 def test_detector_spec_validation():

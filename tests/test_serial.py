@@ -18,7 +18,7 @@ PRESET_DOCS = {p.stem: json.loads(p.read_text()) for p in sorted(PRESETS.glob("*
 ORACLE = jsonschema.Draft202012Validator(SCHEMA)
 
 # the keywords the built-in checker implements
-KEYWORDS = {"type", "properties", "patternProperties", "additionalProperties",
+KEYWORDS = {"type", "properties", "additionalProperties",
             "required", "oneOf", "const", "enum", "items", "minItems", "maxItems",
             "minProperties", "minimum", "maximum", "exclusiveMinimum"}
 
@@ -26,7 +26,7 @@ KEYWORDS = {"type", "properties", "patternProperties", "additionalProperties",
 def _keywords(schema: dict) -> set:
     out = set(schema)
     for key, arg in schema.items():
-        subs = (arg.values() if key in ("properties", "patternProperties")
+        subs = (arg.values() if key == "properties"
                 else arg if key == "oneOf"
                 else [arg] if isinstance(arg, dict) else [])
         for sub in subs:

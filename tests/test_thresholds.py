@@ -47,3 +47,13 @@ def test_every_tolerance_field_is_overridable():
         with_overrides({"tol.nope": 1.0})
     with pytest.raises(ValueError, match="unknown tolerance key 'hermitian'"):
         with_overrides({"hermitian": 1.0})  # keys carry the "tol." prefix
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
+                                   10 ** 400, -(10 ** 400)],
+                         ids=["nan", "inf", "minus_inf", "huge_int", "minus_huge_int"])
+def test_non_finite_tolerance_refused(value):
+    # a NaN threshold makes every `x <= tol` false, an inf one every `x < tol`
+    # true; a huge int would overflow float() instead of being refused
+    with pytest.raises(ValueError, match=r"^tol\.operator is not a finite double$"):
+        with_overrides({"tol.operator": value})
