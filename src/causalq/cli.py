@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from operator import itemgetter
 from pathlib import Path
@@ -96,7 +95,6 @@ def _tolerances(doc: dict) -> Tolerances:
 
 
 def _write_report(rep: RunReport, out_dir: Path, stem: str) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{stem}.report.json"
     path.write_text(json.dumps(rep.to_dict(), indent=2) + "\n")
     return path
@@ -107,7 +105,6 @@ def _write_rows(rep: RunReport, out_dir: Path, stem: str, fmt: str) -> Path | No
         return None
     cols = list(rep.rows[0])  # the first row fixes the columns and their formats
     text = [isinstance(rep.rows[0][k], str) for k in cols]
-    out_dir.mkdir(parents=True, exist_ok=True)
     if fmt == "json":  # one row a line, C-encoded; floats keep every bit
         path = out_dir / f"{stem}.data.json"
         rows = (json.dumps({k: r[k] if t else float(r[k]) for k, t in zip(cols, text)})
@@ -144,8 +141,7 @@ def _exec_operations(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
         rep.results.update(run_scenario(s, {}))
         return
     param, grid = s.sweep
-    with ThreadPoolExecutor(max_workers=args.threads) as ex:  # rows in grid order
-        rep.rows = list(ex.map(lambda v: {param: v, **run_scenario(s, {param: v})}, grid))
+    rep.rows = [{param: v, **run_scenario(s, {param: v})} for v in grid]
     for col in list(rep.rows[0])[1:]:
         vals = [r[col] for r in rep.rows]
         rep.results[f"delta_max.{col}"] = max(abs(v - vals[0]) for v in vals)
@@ -379,7 +375,8 @@ def _parser() -> argparse.ArgumentParser:
         q.add_argument("--out", type=Path, default=Path("."))
         if name != "check":  # no check suite writes a data file
             q.add_argument("--format", choices=("csv", "json"), default="csv")
-        q.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1)
+        # accepted and ignored: sweep points run in grid order on the calling thread
+        q.add_argument("--threads", type=_thread_count, default=1)
         q.add_argument("--seed", type=int, default=0)
         if name == "check":
             q.add_argument("--suite", required=True,
@@ -405,6 +402,7 @@ def main(argv=None) -> int:
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
     stem = Path(args.file).stem
+    args.out.mkdir(parents=True, exist_ok=True)
     report_path = _write_report(rep, args.out, stem)
     data_path = None if args.command == "check" else _write_rows(
         rep, args.out, stem, args.format)

@@ -39,7 +39,7 @@ from .errors import (CausalqError, NotCausallyOrderable, NotHermitian,
 from .field import FieldModel, FockBackend, SmearingFn, _two_point
 from .qops import (LocalOperator, ProductSpace, _apply_matrix, _embed_matrix,
                    check_density, commutator, dag, expih, is_hermitian, opnorm,
-                   select_outcome, sigma_m, sigma_p)
+                   select_outcome, sigma_m, sigma_p, within)
 
 __all__ = [
     "DetectorSpec", "PerturbativeState", "FactorizationResult", "MatrixPoly",
@@ -485,7 +485,7 @@ def kraus_operators(s1: np.ndarray, psi: np.ndarray,
         return list(amp)
     bs = np.array([np.asarray(v, dtype=complex) for v in basis])
     gram = bs.conj() @ bs.T
-    if opnorm(gram - np.eye(len(bs))) > tol.unitary:
+    if not within(gram - np.eye(len(bs)), tol.unitary):
         raise ValueError("readout basis must be orthonormal")
     return [np.einsum("i,ifg->fg", v.conj(), amp) for v in bs]
 
@@ -518,7 +518,7 @@ def detector_update_nonselective(rho_f: np.ndarray, s1: np.ndarray, psi: np.ndar
                                  basis: Sequence[np.ndarray] | None = None,
                                  tol: Tolerances = DEFAULT) -> np.ndarray:
     ns1, ns2 = nonselective_forms(rho_f, s1, psi, basis, tol)
-    if opnorm(ns1 - ns2) > tol.operator * max(1.0, opnorm(ns1)):
+    if not within(ns1 - ns2, tol.operator * max(1.0, opnorm(ns1))):
         raise CausalqError("Kraus sum and partial-trace updates disagree")
     return ns1
 

@@ -33,6 +33,10 @@ class NotHermitian(CausalqError):
     """A matrix required to be Hermitian is not, within tolerance."""
 
 
+class NotUnitary(CausalqError, ValueError):
+    """A matrix required to be unitary is not, within tolerance."""
+
+
 class BinsNotCovering(CausalqError):
     """Supplied spectral bins do not cover every eigenvalue, or overlap."""
 

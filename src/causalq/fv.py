@@ -49,7 +49,7 @@ from .errors import (CouplingOutsideK, DimensionMismatch, GeometryViolation,
                      NotCausallyOrderable, UnknownLabel, ZeroProbability)
 from .qops import (ProductSpace, _apply_matrix, _embed_matrix, _ptrace_matrix,
                    _support_defect, check_density, check_effect,
-                   check_unitary, dag, opnorm, space)
+                   check_unitary, dag, opnorm, space, within)
 from .random_ops import haar_unitary, random_density, random_hermitian
 
 __all__ = [
@@ -380,7 +380,7 @@ def _heisenberg(sm: ScatteringMap, op: _Local, tally: Counter) -> _Local:
 def support_defect(m: np.ndarray, sp: ProductSpace,
                    labels: Sequence[str]) -> float:
     """Norm distance from ``m`` to operators supported on ``labels`` alone."""
-    return _support_defect(np.asarray(m, dtype=complex), sp, frozenset(labels))
+    return opnorm(_support_defect(np.asarray(m, dtype=complex), sp, frozenset(labels)))
 
 
 def operator_support(m: np.ndarray, sp: ProductSpace,
@@ -388,7 +388,7 @@ def operator_support(m: np.ndarray, sp: ProductSpace,
     """Minimal factor set carrying ``m`` (empty for multiples of identity)."""
     m = np.asarray(m, dtype=complex)
     sup = [l for l in sp.labels
-           if _support_defect(m, sp, frozenset(set(sp.labels) - {l})) > tol]
+           if not within(_support_defect(m, sp, frozenset(set(sp.labels) - {l})), tol)]
     return frozenset(sup)
 
 

@@ -39,8 +39,8 @@ from .errors import (CommutationPrecondition, DimensionMismatch,
                      InvalidProjector, NotExclusive, NotHermitian,
                      SpaceMismatch)
 from .qops import (DensityState, LocalOperator, ProductSpace,
-                   ProjectiveResolution, check_unitary, dag, expih,
-                   herm_defect, is_hermitian, is_projector, luders_sum, opnorm)
+                   ProjectiveResolution, _skew_within, check_unitary, dag,
+                   expih, is_hermitian, is_projector, luders_sum, opnorm, within)
 from .random_ops import random_density
 
 __all__ = [
@@ -210,7 +210,7 @@ class DecoherenceMatrix:
 
     def __post_init__(self):
         d = self.matrix
-        if herm_defect(d) > self.tol.operator:
+        if not _skew_within(d, self.tol.operator):
             raise NotHermitian("decoherence matrix is not Hermitian")
         p = np.diag(d)
         if np.abs(p.imag).max() > self.tol.operator:
@@ -253,14 +253,6 @@ def consistency_check(fam: HistoryFamily, rho0, mode: str = "weak",
     return worst <= tol.operator, worst
 
 
-def _differing_steps(a: History, b: History, tol: Tolerances) -> list[int]:
-    out = []
-    for i, (sa, sb) in enumerate(zip(a.steps, b.steps)):
-        if opnorm(sa.projector.matrix - sb.projector.matrix) > tol.projector:
-            out.append(i)
-    return out
-
-
 def additivity_violation(a: History, b: History, rho0,
                          tol: Tolerances = DEFAULT) -> float:
     """Kolmogorov defect p(a or b) - p(a) - p(b); equals 2 Re d(a, b).
@@ -280,14 +272,15 @@ def additivity_violation(a: History, b: History, rho0,
     ha, hb = a.hamiltonian, b.hamiltonian
     if (ha is None) != (hb is None) or (ha is not None and not np.array_equal(ha, hb)):
         raise ValueError("histories evolve under different Hamiltonians")
-    diff = _differing_steps(a, b, tol)
+    diff = [i for i, (sa, sb) in enumerate(zip(a.steps, b.steps))
+            if not within(sa.projector.matrix - sb.projector.matrix, tol.projector)]
     if not diff:
         raise NotExclusive("histories coincide at every step")
     if len(diff) > 1:
         raise ValueError("join is defined for histories differing at one step")
     k = diff[0]
     pa, pb = a.steps[k].projector.matrix, b.steps[k].projector.matrix
-    if opnorm(pa @ pb) > tol.projector:
+    if not within(pa @ pb, tol.projector):
         raise NotExclusive(f"outcomes at step {k} are not orthogonal")
     joined = list(a.steps)
     joined[k] = HistoryStep(LocalOperator(a.space, pa + pb),
@@ -324,13 +317,8 @@ def fuksa_bipartite(res1: ProjectiveResolution, res2: ProjectiveResolution,
     shifts = tuple(
         float(abs(np.real(np.trace(measured @ q)) - np.real(np.trace(rho @ q))))
         for q in p2)
-    worst = 0.0
-    for q in p2:
-        for i, pi in enumerate(p1):
-            for j, pj in enumerate(p1):
-                if i == j:
-                    continue
-                worst = max(worst, abs(np.trace(pi @ rho @ pj @ q)))
+    worst = max([0.0] + [abs(np.trace(pi @ rho @ pj @ q)) for q in p2
+                         for i, pi in enumerate(p1) for j, pj in enumerate(p1) if i != j])
     return FuksaBipartite(float(worst), shifts)
 
 
@@ -372,11 +360,8 @@ def fuksa_tripartite(res1: ProjectiveResolution, res2: ProjectiveResolution,
             raise SpaceMismatch("resolutions live on different spaces")
     p1 = [p.matrix for p in res1.projectors]
     p3 = [p.matrix for p in res3.projectors]
-    for a in p1:
-        for c in p3:
-            if opnorm(a @ c - c @ a) > tol.operator:
-                raise CommutationPrecondition(
-                    "first and third resolutions do not commute")
+    if not all(within(a @ c - c @ a, tol.operator) for a in p1 for c in p3):
+        raise CommutationPrecondition("first and third resolutions do not commute")
     later = [[p.matrix for p in res2.projectors]]
     if extra is not None:
         later.append([p.matrix for p in extra.projectors])

@@ -13,9 +13,11 @@ Every module builds on one primitive per idea, each working on plain arrays:
 * `select_outcome(p, rho, tol)`: the selective step (P rho P / w, w);
 * `rounding_floor(d, scale)`: the c·d·u·scale size below which a computed
   residual is rounding (`commute` tests a commutator against it);
+* `within(x, bound)`: ||x||_2 <= bound by the Frobenius norm first, `opnorm` only
+  if that fails: the rule behind every pass/fail norm (reported norms are `opnorm`);
 * one validation rule per property, each reading its `Tolerances` field:
   `is_hermitian` (`hermitian`, times the largest entry or 1), `is_projector`
-  (`projector`, on both `projector_defect`s), `check_density` (`is_hermitian`,
+  (`projector`, on m - m^dag and m^2 - m), `check_density` (`is_hermitian`,
   `trace`, `positivity`), `check_effect` and `check_unitary` (`unitary`).
 """
 from __future__ import annotations
@@ -28,8 +30,8 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import (BinsNotCovering, DimensionMismatch, InvalidProjector,
-                     NotEffect, NotHermitian, SpaceMismatch, TruncationTooLarge,
-                     UnknownLabel, ZeroProbability)
+                     NotEffect, NotHermitian, NotUnitary, SpaceMismatch,
+                     TruncationTooLarge, UnknownLabel, ZeroProbability)
 
 __all__ = [
     "MAX_DIM", "ProductSpace", "LocalOperator", "DensityState",
@@ -37,8 +39,8 @@ __all__ = [
     "spectral_resolution", "born_probability", "luders_nonselective",
     "luders_selective", "partial_trace", "expectation",
     "pure_state", "dag", "commutator", "commute", "rounding_floor", "opnorm",
-    "herm_defect", "expih", "luders_sum", "select_outcome", "check_unitary",
-    "check_effect", "projector_defect", "is_hermitian", "is_projector",
+    "herm_defect", "within", "expih", "luders_sum", "select_outcome",
+    "check_unitary", "check_effect", "is_hermitian", "is_projector",
     "check_density",
     "sigma_x", "sigma_y", "sigma_z", "sigma_p", "sigma_m", "eye2", "PAULI",
 ]
@@ -97,19 +99,24 @@ def herm_defect(a: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(1j * (a - dag(a)))).max(initial=0.0))
 
 
-def projector_defect(m: np.ndarray) -> tuple[float, float]:
-    """(Hermiticity, idempotence) defects; both vanish for an orthogonal projector."""
-    return herm_defect(m), opnorm(m @ m - m)
+def within(x: np.ndarray, bound: float) -> bool:
+    """||x||_2 <= bound, by ||x||_F >= ||x||_2 first and `opnorm` only if that fails."""
+    return float(np.linalg.norm(x)) <= bound or opnorm(x) <= bound
+
+
+def _skew_within(m: np.ndarray, bound: float) -> bool:
+    """The `within` rule on m - m^dag, with `herm_defect` as the exact norm."""
+    return float(np.linalg.norm(m - dag(m))) <= bound or herm_defect(m) <= bound
 
 
 def is_hermitian(m: np.ndarray, tol: Tolerances) -> bool:
     """Hermitian within tol.hermitian, relative to the largest entry (at least 1)."""
-    return herm_defect(m) <= tol.hermitian * max(1.0, float(np.abs(m).max(initial=0.0)))
+    return _skew_within(m, tol.hermitian * max(1.0, float(np.abs(m).max(initial=0.0))))
 
 
 def is_projector(m: np.ndarray, tol: Tolerances) -> bool:
-    """Orthogonal projector: both `projector_defect`s within tol.projector."""
-    return max(projector_defect(m)) <= tol.projector
+    """Orthogonal projector: m - m^dag and m^2 - m within tol.projector."""
+    return _skew_within(m, tol.projector) and within(m @ m - m, tol.projector)
 
 
 def expih(h: np.ndarray, t: float) -> np.ndarray:
@@ -140,8 +147,8 @@ def check_unitary(u: np.ndarray, tol: Tolerances, what: str) -> None:
     """Refuse a non-square or non-unitary matrix, naming it as `what`."""
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionMismatch(f"{what} has shape {u.shape}")
-    if opnorm(u @ dag(u) - np.eye(u.shape[0])) > tol.unitary:
-        raise ValueError(f"{what} is not unitary")
+    if not within(u @ dag(u) - np.eye(u.shape[0]), tol.unitary):
+        raise NotUnitary(f"{what} is not unitary")
 
 
 def check_effect(b, dim: int, tol: Tolerances) -> np.ndarray:
@@ -243,7 +250,7 @@ class LocalOperator:
             for l in sup:
                 self.space.index(l)
             object.__setattr__(self, "support", sup)
-            if _support_defect(m, self.space, sup) > self.tol.support:
+            if not within(_support_defect(m, self.space, sup), self.tol.support):
                 raise DimensionMismatch(
                     "matrix is not identity outside the declared support")
 
@@ -261,14 +268,14 @@ class LocalOperator:
         return LocalOperator(self.space, c * self.matrix, self.support, self.tol)
 
 
-def _support_defect(m: np.ndarray, sp: ProductSpace, support: frozenset) -> float:
-    """Distance from `m` to (operator on support) x (identity elsewhere)."""
+def _support_defect(m: np.ndarray, sp: ProductSpace, support: frozenset) -> np.ndarray:
+    """`m` minus its part (operator on support) x (identity elsewhere)."""
     sup_labels = [l for l in sp.labels if l in support]
     if len(sup_labels) == len(sp.labels):
-        return 0.0
+        return np.zeros((1, 1))
     d_rest = sp.dim // prod(sp.dim_of(l) for l in sup_labels)
     restricted = _ptrace_matrix(m, sp, sup_labels) / d_rest
-    return opnorm(m - _embed_matrix(restricted, sup_labels, sp))
+    return m - _embed_matrix(restricted, sup_labels, sp)
 
 
 def _apply_matrix(op: np.ndarray, target_labels: Sequence[str], sp: ProductSpace,
@@ -376,10 +383,10 @@ class ProjectiveResolution:
                 raise InvalidProjector(f"resolution member {i} is not a projector")
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
-                if opnorm(mats[i] @ mats[j]) > self.tol.projector:
-                    raise ValueError(f"projectors {i},{j} not orthogonal")
-        if opnorm(sum(mats) - np.eye(self.space.dim)) > self.tol.projector:
-            raise ValueError("projectors do not sum to the identity")
+                if not within(mats[i] @ mats[j], self.tol.projector):
+                    raise InvalidProjector(f"projectors {i},{j} not orthogonal")
+        if not within(sum(mats) - np.eye(self.space.dim), self.tol.projector):
+            raise InvalidProjector("projectors do not sum to the identity")
 
     def __len__(self) -> int:
         return len(self.projectors)
@@ -434,13 +441,10 @@ def spectral_resolution(a: LocalOperator,
                 raise BinsNotCovering(f"eigenvalue {lam} not covered by any bin")
         bins_out = tuple((lo, hi) for (lo, hi), g in zip(iv, groups) if g)
         groups = [g for g in groups if g]
-    projs = []
-    vals = []
-    for g in groups:
-        cols = v[:, g]
-        projs.append(LocalOperator(a.space, cols @ dag(cols), a.support, tol))
-        vals.append(float(np.mean(w[g])))
-    return ProjectiveResolution(a.space, tuple(projs), tuple(vals), bins_out, tol)
+    projs = tuple(LocalOperator(a.space, v[:, g] @ dag(v[:, g]), a.support, tol)
+                  for g in groups)
+    vals = tuple(float(np.mean(w[g])) for g in groups)
+    return ProjectiveResolution(a.space, projs, vals, bins_out, tol)
 
 
 def born_probability(rho: DensityState, e: LocalOperator,

@@ -21,6 +21,7 @@ such a shift from those that cannot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
+from functools import reduce
 from itertools import combinations, islice, product as iproduct
 from typing import Mapping, Sequence
 
@@ -321,13 +322,8 @@ def pauli_strings(sp: ProductSpace, labels: Sequence[str]) -> list[LocalOperator
     for l in labels:
         if sp.dim_of(l) != 2:
             raise ValueError(f"factor {l!r} is not a qubit")
-    out = []
-    for combo in iproduct(PAULI.values(), repeat=len(labels)):
-        m = np.array([[1.0 + 0j]])
-        for c in combo:
-            m = np.kron(m, c)
-        out.append(embed(m, list(labels), sp))
-    return out
+    return [embed(reduce(np.kron, combo, np.ones((1, 1), complex)), list(labels), sp)
+            for combo in iproduct(PAULI.values(), repeat=len(labels))]
 
 
 PRESET_NAMES = ("borsten_qubit", "sorkin_qubit_baby", "sorkin_qft_fock",

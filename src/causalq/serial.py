@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import chain
+from math import inf, isnan
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -154,6 +156,7 @@ SCHEMA = _obj({
     "tolerances": _obj({key: {"type": "number"} for key in TOL_KEYS}),
 }, oneOf=[{"required": [k]} for k in PAYLOADS])
 
+_ROW_KEYS = {"type", "items", "minItems", "maxItems"}  # all that binds a row of numbers
 _TYPES = {"object": (dict,), "array": (list,), "string": (str,), "boolean": (bool,),
           "null": (type(None),), "number": (int, float), "integer": (int,)}
 
@@ -207,14 +210,9 @@ def _errors(value, schema: Mapping, path: tuple):
             elif extras:
                 yield path, (f"Additional properties are not allowed ({_reprs(extras)} "
                              f"{'was' if len(extras) == 1 else 'were'} unexpected)")
-        elif key == "items" and arr:
-            # one flat pass under a bare number `type`: recurse only into the
-            # elements of other Python types and the numbers that are not finite
-            bare = arg.keys() == {"type"} and arg["type"] in ("number", "integer")
-            fast = _TYPES[arg["type"]] if bare else ()
-            for i in [i for i, v in enumerate(value)
-                      if type(v) not in fast or not finite(v)]:
-                yield from _errors(value[i], arg, path + (i,))
+        elif key == "items" and arr and not _numbers_valid(value, arg):
+            for i, v in enumerate(value):
+                yield from _errors(v, arg, path + (i,))
         elif key == "minItems" and arr and len(value) < arg:
             yield path, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
         elif key == "maxItems" and arr and len(value) > arg:
@@ -228,6 +226,20 @@ def _errors(value, schema: Mapping, path: tuple):
             yield path, f"{value!r} is greater than the maximum of {arg!r}"
         elif key == "exclusiveMinimum" and num and value <= arg:
             yield path, f"{value!r} is less than or equal to the minimum of {arg!r}"
+
+
+def _numbers_valid(value: list, items: Mapping) -> bool:
+    """Whether every element meets `items`, by C-level passes when that is a bare
+    number or integer `type` or an array of them (`_MATRIX` rows); False leaves
+    the verdict, with the first error's path and wording, to the element walk."""
+    if items.get("type") == "array" and items.keys() <= _ROW_KEYS and value:
+        lens = set(map(len, value)) if set(map(type, value)) == {list} else {-1}
+        if not items.get("minItems", 0) <= min(lens) <= max(lens) <= items.get("maxItems", inf):
+            return False
+        value, items = list(chain.from_iterable(value)), items.get("items", {})
+    return (items.keys() == {"type"} and items["type"] in ("number", "integer")
+            and set(map(type, value)) <= set(_TYPES[items["type"]])
+            and finite(max(map(abs, value), default=0)) and not any(map(isnan, value)))
 
 
 def _reprs(items) -> str:

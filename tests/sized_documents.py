@@ -3,7 +3,8 @@
 `matrix_document` measures a 32 x 32 observable on five qubits; `family_document`
 is a three-step, four-outcome history family on four qubits, whose decoherence
 table has 4096 rows; `operations_document` is a kicked, measured and read-out
-qubit chain with extra spacelike kicks on a third qubit.  Every matrix is
+qubit chain (three qubits by default) with extra spacelike kicks on the
+qubits after the second.  Every matrix is
 written as `matrix` and `imag` blocks.
 """
 import numpy as np
@@ -47,12 +48,14 @@ def family_document(rng) -> dict:
             "family": {"steps": steps}}
 
 
-def operations_document(rng, extra_paulis) -> dict:
+def operations_document(rng, extra_paulis, qubits=3) -> dict:
     """Kick on A, three-outcome measurement on AB, readout on B, and one Pauli
-    kick on C per entry of `extra_paulis`, each in a region spacelike to every
-    other operation: (3 + k)! / 3! linear extensions for k extra kicks."""
+    kick on the qubits after B, in turn, per entry of `extra_paulis`, each in a
+    region spacelike to every other operation: (3 + k)! / 3! linear extensions
+    for k extra kicks."""
+    labels = "ABCDE"[:qubits]
     projs = _resolution(4, 3, rng)
-    measured = np.kron(sum(k * p for k, p in enumerate(projs)), np.eye(2))
+    measured = np.kron(sum(k * p for k, p in enumerate(projs)), np.eye(2 ** (qubits - 2)))
     ops = [{"kind": "kick_generator", "region": "O1", "param": "g",
             "operator": {"pauli": "X", "factor": "A"}},
            {"kind": "measure", "region": "O2", "operator": _block(measured)},
@@ -63,9 +66,9 @@ def operations_document(rng, extra_paulis) -> dict:
         regions[f"X{j}"] = {"rect": [0.0, 1.0, 100.0 * (j + 1), 100.0 * (j + 1) + 1]}
         ops.insert(int(rng.integers(0, len(ops) + 1)), {
             "kind": "kick", "region": f"X{j}",
-            "operator": {"pauli": pauli, "factor": "C"}})
+            "operator": {"pauli": pauli, "factor": labels[2 + j % (qubits - 2)]}})
     geometry = {"preset": "fig2", **({"regions": regions} if regions else {})}
     return {"geometry": geometry,
-            "space": {"qubits": list("ABC"), "state": _state(8, rng)},
+            "space": {"qubits": list(labels), "state": _state(2 ** qubits, rng)},
             "operations": ops,
             "sweep": {"param": "g", "grid": {"start": 0.0, "stop": 2.0, "count": 12}}}

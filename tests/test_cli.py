@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -671,6 +672,32 @@ def test_sweep_threads_agree(tmp_path, capsys):
     assert a == b
 
 
+def test_sweep_runs_on_the_calling_thread(tmp_path, capsys, monkeypatch):
+    # --threads is accepted and ignored: its default is 1 and no thread starts
+    assert cli_module._parser().parse_args(["sweep", "doc.json"]).threads == 1
+
+    def refuse(self):
+        raise AssertionError("a sweep started a thread")
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for path in ("borsten_qubit.json", "tripartite_orders.json"):
+        rc, _, err = cli(capsys, "sweep", PRESETS / path, "--threads", "4",
+                         "--out", tmp_path)
+        assert rc == 0, err
+
+
+def test_one_output_directory_per_command(tmp_path, capsys, monkeypatch):
+    made, mkdir = [], Path.mkdir
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        return mkdir(self, *args, **kwargs)
+    monkeypatch.setattr(Path, "mkdir", counted)
+    out = tmp_path / "out"
+    rc, stdout, _ = cli(capsys, "run", PRESETS / "borsten_qubit.json", "--out", out)
+    assert rc == 0 and "data: " in stdout  # a report and a data file
+    assert made == [out]
+
+
 # data files against the per-entry reference
 
 def _reference_family_rows(dm) -> list[dict]:
@@ -844,6 +871,44 @@ def test_cli_import_leaves_scipy_unloaded():
     code = ("import causalq.cli, sys; assert 'scipy' not in sys.modules; "
             "assert 'jsonschema' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_cli_import_leaves_the_thread_pool_unloaded():
+    src = str(Path(causalq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import causalq.cli, sys; assert 'concurrent.futures' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def _bad_document(name):
+    if name == "non_unitary_kick":
+        doc = load_document(PRESETS / "borsten_qubit.json")
+        doc["operations"].insert(0, {"kind": "kick", "region": "O1",
+                                     "operator": {"matrix": (2 * np.eye(4)).tolist()}})
+        return doc
+    doc = load_document(PRESETS / "fuksa_family.json")
+    projectors = doc["family"]["steps"][0]["projectors"]
+    if name == "overlapping_projectors":  # the second one also covers |00>
+        projectors[1] = {"matrix": (np.eye(4) - np.diag([0, 1, 0, 0])).tolist()}
+    else:
+        projectors.pop()
+    return doc
+
+
+# documents that fail a validation check exit 3 and name the error's type;
+# they were reported as internal errors (a bare ValueError)
+@pytest.mark.parametrize("name, argv, message", [
+    ("non_unitary_kick", ["run"], "NotUnitary: kick operator is not unitary"),
+    ("overlapping_projectors", ["run"], "InvalidProjector: projectors 0,1 not orthogonal"),
+    ("overlapping_projectors", ["check", "--suite", "fuksa"],
+     "InvalidProjector: projectors 0,1 not orthogonal"),
+    ("incomplete_projectors", ["run"],
+     "InvalidProjector: projectors do not sum to the identity"),
+], ids=["non_unitary_kick", "overlapping_run", "overlapping_check_fuksa", "incomplete_run"])
+def test_refused_document_names_its_error(tmp_path, capsys, name, argv, message):
+    path = write_doc(tmp_path, _bad_document(name))
+    rc, out, err = cli(capsys, argv[0], path, *argv[1:], "--out", tmp_path / "out")
+    assert (rc, out, err) == (3, "", f"error: {message}\n")
 
 
 # the commands CI runs with numpy as the only dependency, with their exit

@@ -238,3 +238,104 @@ def test_mutated_number_arrays_match_oracle(make, tmp_path):
             mismatches.append((i, want))
     assert not mismatches
     assert rejected > 15
+
+
+# whole number blocks are checked in one pass; a bad entry anywhere in them
+# still gets the element walk's first error, path and wording
+
+SENTINEL = 123456.5
+# literals json.loads reads as inf, -inf and a 1329-bit int, which JSON Schema
+# has no rule against: the walk refuses them at their path as not finite doubles
+OVERFLOWS = {"1e999": "inf", "-1e999": "-inf", "1" + "0" * 400: "a 1329-bit integer"}
+ENTRY_LITERALS = ["true", "false", '"x"', "null", "[]", "{}", "2.5", "-7", *OVERFLOWS]
+ROW_LITERALS = ["[]", "[1.0]", "[true, 1.0]", '["x"]', "true", '"row"', "null",
+                "[1.0, 2.0, 3.0]", "[1.0, 1e999]"]
+
+
+def _number_blocks():
+    """(document, path of one number inside a vector or matrix, row depth)."""
+    ops = matrix_document(np.random.default_rng(3))
+    fam = family_document(np.random.default_rng(4))
+    fam["family"]["times"] = [0.0, 1.0, 2.0]
+    trip = copy.deepcopy(PRESET_DOCS["tripartite_orders"])
+    cells = copy.deepcopy(PRESET_DOCS["borsten_qubit"])
+    cells["geometry"]["regions"] = {"R": {"cells": [[0, 1], [2, 3], [4, 5]]}}
+    return [(ops, ("operations", 1, "operator", "matrix", 3, 5)),
+            (ops, ("operations", 1, "operator", "imag", 31, 0)),
+            (ops, ("space", "state", 4, 1)),
+            (fam, ("family", "steps", 1, "observable", "matrix", 0, 15)),
+            (fam, ("family", "times", 1)),
+            (trip, ("detectors", "tripartite", "modes", 1)),
+            (cells, ("geometry", "regions", "R", "cells", 1, 0))]
+
+
+def _with_literal(doc, path, literal) -> str:
+    text = json.dumps(_replace(copy.deepcopy(doc), path, SENTINEL))
+    assert text.count(json.dumps(SENTINEL)) == 1
+    return text.replace(json.dumps(SENTINEL), literal)
+
+
+def _first_error(text, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    try:
+        load_document(path)
+    except ValidationError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_bad_entries_in_number_blocks_match_oracle(case, tmp_path):
+    doc, path = _number_blocks()[case]
+    where = "/".join(map(str, path))
+    literals = [(path, lit) for lit in ENTRY_LITERALS]
+    if len(path) > 3 and isinstance(path[-2], int):  # a row of a matrix or a pair
+        literals += [(path[:-1], lit) for lit in ROW_LITERALS]
+    for at, literal in literals:
+        text = _with_literal(doc, at, literal)
+        if literal in OVERFLOWS:
+            want = f"{where}: {OVERFLOWS[literal]} is not a finite double"
+        elif "1e999" in literal:
+            want = f"{'/'.join(map(str, at))}/1: inf is not a finite double"
+        else:
+            want = oracle_first_error(json.loads(text))
+        assert _first_error(text, tmp_path) == want, (at, literal)
+
+
+def test_first_error_is_the_first_by_path_across_blocks(tmp_path):
+    doc = matrix_document(np.random.default_rng(3))
+    m = doc["operations"][1]["operator"]["matrix"]
+    m[7][1], m[2][30], m[2][4] = True, "x", [1.0]
+    doc["operations"][1]["operator"]["imag"][0][0] = None
+    doc["operations"][1]["operator"]["matrix"][5] = [0.5] * 3  # ragged: valid
+    want = oracle_first_error(doc)
+    assert want.startswith("operations/1/operator/imag/0/0: ")
+    assert _first_error(json.dumps(doc), tmp_path) == want
+
+
+@pytest.mark.parametrize("make", [matrix_document, family_document],
+                         ids=["matrix_5_qubits", "family_4_qubits"])
+def test_valid_matrix_blocks_are_not_walked_row_by_row(monkeypatch, make):
+    from causalq import serial
+    walk, paths = serial._errors, []
+
+    def counted(value, schema, path):
+        paths.append(path)
+        return walk(value, schema, path)
+    monkeypatch.setattr(serial, "_errors", counted)
+    serial.validate(make(np.random.default_rng(3)))
+    blocks = [p for p in paths if p[-1:] in [("matrix",), ("imag",)]]
+    assert blocks  # every block is reached, and none of its rows or entries
+    assert not [p for p in paths if any(k in ("matrix", "imag") for k in p[:-1])]
+
+
+@pytest.mark.parametrize("grid", [[0.0, float("nan")], [1.0, float("nan"), 2.0],
+                                  [float("nan"), 1.0], [0.0, float("-inf")]],
+                         ids=["nan_last", "nan_middle", "nan_first", "minus_inf"])
+def test_grid_refuses_nan_wherever_it_sits(grid):
+    from causalq.serial import GRID, validate
+    bad = next(i for i, v in enumerate(grid) if not abs(v) < float("inf"))
+    with pytest.raises(ValidationError, match=rf"^--grid/{bad}: -?(nan|inf) is not a "
+                                              "finite double$"):
+        validate(grid, GRID, ("--grid",))
