@@ -5,6 +5,9 @@ is malformed or inconsistent, 3 an internal or execution error.  Reports are
 JSON; tabular data goes to a side file in CSV (default) or JSON with every
 number carrying 17 significant digits.  `CAUSALQ_TOL_OVERRIDES` may name a
 tolerance file applied below any per-document overrides.
+
+numpy, `causal`, `config`, `errors`, `qops`, `scenarios` and `serial` load with
+this module; each handler imports its own route (`histories`, `fv`, `detectors`).
 """
 
 from __future__ import annotations
@@ -24,14 +27,9 @@ import numpy as np
 from . import __version__
 from .causal import spacelike
 from .config import Tolerances, with_overrides
-from .detectors import signal_noise_split, trace_norm, tripartite_order_count
 from .errors import (CausalqError, ParseError, UnknownParameter,
                      UnknownPreset, ValidationError)
-from .fv import (bostelmann_check, bostelmann_preset, cnot_preset,
-                 corollary6_check, induced_observable, scattering_map)
-from .histories import decoherence, fuksa_bipartite, fuksa_tripartite
 from .qops import PAULI, opnorm, sigma_x
-from .random_ops import random_density, random_effect
 from .scenarios import _worst_commutator, pauli_strings
 from .scenarios import run as run_scenario
 from .serial import (GRID, PAYLOADS, build_detector_pair, build_family,
@@ -120,11 +118,10 @@ def _write_rows(rep: RunReport, out_dir: Path, stem: str, fmt: str) -> Path | No
 
 
 def _payload(doc: dict) -> str:
-    """Payload section; detector documents add their entry ("detectors.pair")."""
-    for key in PAYLOADS:
-        if key in doc:
-            return f"detectors.{next(iter(doc[key]))}" if key == "detectors" else key
-    raise ValidationError("document has no payload section")
+    """The payload section, of which the schema requires exactly one; detector
+    documents add their entry ("detectors.pair")."""
+    key = next(k for k in PAYLOADS if k in doc)
+    return f"detectors.{next(iter(doc[key]))}" if key == "detectors" else key
 
 
 # -- handlers, each called as handler(doc, tol, rep, args) --------------------
@@ -148,6 +145,7 @@ def _exec_operations(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
 
 
 def _exec_family(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
+    from .histories import decoherence
     fam, rho = build_family(doc, tol)
     dm = decoherence(fam, rho, tol)
     off = dm.matrix - np.diag(np.diag(dm.matrix))
@@ -169,14 +167,15 @@ def _gate_counts(rep: RunReport, prefix: str, check) -> None:
 
 
 def _exec_fv(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
+    from .fv import (bostelmann_check, bostelmann_preset, cnot_preset,
+                     corollary6_check, induced_observable, scattering_map)
+    from .random_ops import random_density, random_effect
     spec = doc["fv_preset"]
     rng = np.random.default_rng(spec.get("seed", args.seed))
     if spec["name"] == "cnot":
-        c, probe = cnot_preset(tol)
-        sm = scattering_map(c, probe)
-        eps = induced_observable(sm, np.diag([0.0, 1.0]).astype(complex), tol=tol)
-        target = np.diag([0.0, 0.0, 1.0, 1.0])
-        resid = float(opnorm(eps - target))
+        eps = induced_observable(scattering_map(*cnot_preset(tol)),
+                                 np.diag([0.0, 1.0]).astype(complex), tol=tol)
+        resid = float(opnorm(eps - np.diag([0.0, 0.0, 1.0, 1.0])))
         rep.residuals["fv.induced.residual"] = resid
         rep.checks.append(CheckResult("fv.induced", resid <= tol.operator, resid))
         return
@@ -189,8 +188,7 @@ def _exec_fv(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
                                   float(len(bos.failed)), "; ".join(bos.failed)))
     rep.checks.append(CheckResult("fv.bostelmann", bos.residual <= tol.operator,
                                   bos.residual))
-    d_sys = 2 ** c.n_sites
-    cor = corollary6_check(c, random_density(d_sys, rng), p1, p2,
+    cor = corollary6_check(c, random_density(2 ** c.n_sites, rng), p1, p2,
                            random_effect(p1.dim, rng), random_effect(p2.dim, rng),
                            tol)
     rep.residuals["fv.corollary6.residual"] = cor.residual
@@ -202,6 +200,7 @@ def _exec_fv(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
 
 
 def _exec_pair(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
+    from .detectors import signal_noise_split, trace_norm
     f, a, b = build_detector_pair(doc)
     # coherent sender state; a diagonal rho_A has zero monopole mean and
     # would null the cross term even for causally connected pairs
@@ -216,6 +215,7 @@ def _exec_pair(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
 
 
 def _orders(kick_fn, bridge, receiver, fb, max_order, tol) -> dict[str, float]:
+    from .detectors import tripartite_order_count
     orders = tripartite_order_count(kick_fn, bridge, receiver, fb, sigma_x,
                                     None if bridge is None else _GROUND,
                                     _GROUND, max_order, tol=tol)
@@ -254,6 +254,10 @@ def _check_borsten(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
     kick, obs = (s.operations[kinds.index(k)] for k in ("kick", "observe"))
     lab1 = sorted(kick.operator.support or s.space.labels)
     lab3 = sorted(obs.operator.support or s.space.labels)
+    for label, dim in s.space.factors:
+        if dim != 2 and label in {*lab1, *lab3}:
+            raise ValidationError(
+                f"borsten suite needs qubit factors; factor {label!r} has dimension {dim}")
     alg1 = pauli_strings(s.space, lab1)
     alg3 = pauli_strings(s.space, lab3)
     # the scenario already holds the measurement's eigenprojectors
@@ -261,8 +265,7 @@ def _check_borsten(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
     ok = worst < tol.operator
     note = ""
     if witness is not None:
-        i1 = next(i for i, o in enumerate(alg1) if o is witness[0])
-        i3 = next(i for i, o in enumerate(alg3) if o is witness[1])
+        i1, i3 = witness
         note = (f"witness: measured-average of {_pauli_name(i3, lab3)} "
                 f"fails to commute with {_pauli_name(i1, lab1)}")
     rep.residuals["borsten.commutator"] = worst
@@ -276,16 +279,15 @@ def _pauli_name(index: int, labels: list[str]) -> str:
 
 
 def _check_fuksa(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
+    from .histories import fuksa_bipartite, fuksa_tripartite
     fam, rho = build_family(doc, tol)
     res = fam.resolutions
     if len(res) == 2:
         out = fuksa_bipartite(res[0], res[1], rho, tol)
-        shift = max(out.shifts)
         rep.residuals["fuksa.consistency"] = out.consistency
-        rep.residuals["fuksa.marginal_shift"] = shift
+        rep.residuals["fuksa.marginal_shift"] = shift = max(out.shifts)
         rep.checks.append(CheckResult(
-            "fuksa.bipartite",
-            out.consistency <= tol.operator and shift <= tol.operator,
+            "fuksa.bipartite", out.consistency <= tol.operator and shift <= tol.operator,
             out.consistency))
     elif len(res) in (3, 4):
         extra = res[2] if len(res) == 4 else None

@@ -368,13 +368,9 @@ def fuksa_tripartite(res1: ProjectiveResolution, res2: ProjectiveResolution,
     later.append(p3)
     chains = _chains(later, sp.dim)
 
-    worst = 0.0
-    for c_later in chains:
-        e = dag(c_later) @ c_later  # step-1 sandwich of the later chain
-        for i, pi in enumerate(p1):
-            for j, pj in enumerate(p1):
-                if i != j:
-                    worst = max(worst, opnorm(pj @ e @ pi))
+    # P_j e P_i with e = C^dag C, the step-1 sandwich of each later chain C
+    worst = max([0.0] + [opnorm(pj @ e @ pi) for e in (dag(c) @ c for c in chains)
+                         for i, pi in enumerate(p1) for j, pj in enumerate(p1) if i != j])
 
     rng = rng or np.random.default_rng(7)
     states = [] if rho0 is None else [_state_matrix(rho0, sp)]
@@ -384,8 +380,7 @@ def fuksa_tripartite(res1: ProjectiveResolution, res2: ProjectiveResolution,
         if u.shape != (sp.dim, sp.dim):
             raise DimensionMismatch("kick unitary does not match the space")
         check_unitary(u, tol, "kick")
-    meas_shift = 0.0
-    kick_shift = 0.0
+    meas_shift = kick_shift = 0.0
     for rho in states:
         base = _joint_probs(chains, rho)
         measured = luders_sum(p1, rho)

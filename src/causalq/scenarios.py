@@ -31,7 +31,6 @@ from .causal import Region, build_order, fig2_preset, spacelike
 from .config import DEFAULT, Tolerances
 from .errors import (BasisEmpty, NotEffect, NotHermitian, OrderSensitivity,
                      SpaceMismatch, UnknownParameter, UnknownPreset)
-from .field import FieldModel, fock_backend
 from .qops import (PAULI, DensityState, LocalOperator, ProductSpace,
                    check_unitary, commutator, commute, dag, embed, expih,
                    is_hermitian, is_projector, luders_sum, opnorm, pure_state,
@@ -279,16 +278,14 @@ def signalling_delta(s: Scenario, observable: str | None = None) -> SignallingRe
 
 def _worst_commutator(projectors: Sequence[np.ndarray],
                       alg1: Sequence[LocalOperator], alg3: Sequence[LocalOperator]):
-    """Largest ||[sum_n P_n A3 P_n, A1]|| over both bases, with its (A1, A3)."""
-    worst = 0.0
-    witness = None
-    for a3 in alg3:
+    """Largest ||[sum_n P_n A3 P_n, A1]|| over both bases, with its (A1, A3) indices."""
+    worst, witness = 0.0, None
+    for i3, a3 in enumerate(alg3):
         cond = luders_sum(projectors, a3.matrix)
-        for a1 in alg1:
+        for i1, a1 in enumerate(alg1):
             v = opnorm(commutator(cond, a1.matrix))
             if v > worst:
-                worst = v
-                witness = (a1, a3)
+                worst, witness = v, (i1, i3)
     return worst, witness
 
 
@@ -314,6 +311,8 @@ def borsten_check(a2: LocalOperator, bins,
         raise BasisEmpty("need non-empty operator bases for both regions")
     projectors = [p.matrix for p in spectral_resolution(a2, bins, tol)]
     worst, witness = _worst_commutator(projectors, alg1_basis, alg3_basis)
+    if witness is not None:
+        witness = (alg1_basis[witness[0]], alg3_basis[witness[1]])
     return worst < tol.operator, worst, witness
 
 
@@ -360,6 +359,7 @@ def preset(name: str, tol: Tolerances = DEFAULT) -> Scenario:
         grid = tuple(k * np.pi / 8 for k in range(9))
         return Scenario(sp, pure_state(bell, sp), ops, {}, ("lam", grid), tol)
     if name == "sorkin_qft_fock":
+        from .field import FieldModel, fock_backend
         f = FieldModel(mass=0.0, sites=8, steps=8)
         fb = fock_backend(f, [2, -2], 3)
         sp = fb.space

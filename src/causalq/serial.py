@@ -16,21 +16,23 @@ import json
 from itertools import chain
 from math import inf, isnan
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from .causal import cells, fig2_preset, rect
 from .config import DEFAULT, TOL_KEYS, Tolerances, finite
-from .detectors import DetectorSpec
 from .errors import ParseError, TruncationTooLarge, ValidationError
-from .field import FieldModel, FockBackend, SmearingFn, fock_backend
-from .histories import HistoryFamily
 from .qops import (PAULI, DensityState, LocalOperator, ProductSpace,
                    ProjectiveResolution, embed, pure_state, qubit_space, space,
                    spectral_resolution)
 from .scenarios import (MAX_OPERATIONS, LocalOperation, Scenario, kick,
                         kick_generator, measure, observe, select)
+
+if TYPE_CHECKING:  # the builders import these routes when they run
+    from .detectors import DetectorSpec
+    from .field import FieldModel, FockBackend, SmearingFn
+    from .histories import HistoryFamily
 
 __all__ = [
     "SCHEMA", "PAYLOADS", "GRID", "validate", "load_document", "dump_document",
@@ -380,22 +382,20 @@ def build_scenario(doc: Mapping, tol: Tolerances = DEFAULT) -> Scenario:
                 raise ValidationError(f"operations/{i}: kick_generator needs a param")
             ops.append(kick_generator(op, region, entry["param"], tol))
         elif kind == "measure":
-            bins = entry.get("bins")
-            ops.append(measure(op, region, bins))
+            ops.append(measure(op, region, entry.get("bins")))
         elif kind == "select":
             ops.append(select(op, region, entry.get("name"), tol))
         else:
             if "name" not in entry:
                 raise ValidationError(f"operations/{i}: observe needs a name")
             ops.append(observe(op, region, entry["name"]))
-    sweep = None
-    if "sweep" in doc:
-        sweep = (doc["sweep"]["param"], grid_values(doc["sweep"]))
+    sweep = (doc["sweep"]["param"], grid_values(doc["sweep"])) if "sweep" in doc else None
     return Scenario(sp, init, tuple(ops), {}, sweep, tol)
 
 
 def build_family(doc: Mapping,
                  tol: Tolerances = DEFAULT) -> tuple[HistoryFamily, DensityState]:
+    from .histories import HistoryFamily
     sp = build_space(doc)
     rho = build_state(doc, sp)
     steps = []
@@ -415,6 +415,7 @@ def build_family(doc: Mapping,
 
 
 def _detector_from(spec: Mapping) -> DetectorSpec:
+    from .detectors import DetectorSpec
     if "switching" in spec:
         chi = {int(k): float(v) for k, v in spec["switching"].items()}
     elif "steps" in spec:
@@ -438,6 +439,7 @@ def _detector_from(spec: Mapping) -> DetectorSpec:
 
 
 def build_field(doc: Mapping) -> FieldModel:
+    from .field import FieldModel
     sec = doc.get("field")
     if sec is None:
         raise ValidationError("document has no field section")
@@ -473,6 +475,7 @@ def build_detector_pair(doc: Mapping) -> tuple[FieldModel, DetectorSpec, Detecto
 
 def build_tripartite(doc: Mapping) -> tuple[SmearingFn, DetectorSpec | None,
                                             DetectorSpec, FockBackend, int]:
+    from .field import SmearingFn, fock_backend
     sec = doc.get("detectors", {})
     if "tripartite" not in sec:
         raise ValidationError("detectors section has no tripartite entry")

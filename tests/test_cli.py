@@ -299,6 +299,29 @@ def test_check_borsten_identity_measure_passes(tmp_path, capsys):
     assert "[PASS] borsten.condition" in out
 
 
+# a qutrit A and a qubit B: a cyclic shift of the six basis states kicks both,
+# Z on B is measured and X on B read out
+NON_QUBIT_DOCUMENT = {
+    "geometry": {"preset": "fig2"},
+    "space": {"factors": {"A": 3, "B": 2}, "state": [1, 0, 0, 0, 0, 0]},
+    "operations": [
+        {"kind": "kick", "region": "O1",
+         "operator": {"matrix": np.roll(np.eye(6), 1, axis=0).tolist()}},
+        {"kind": "measure", "region": "O2", "operator": {"pauli": "Z", "factor": "B"}},
+        {"kind": "observe", "region": "O3", "name": "C",
+         "operator": {"pauli": "X", "factor": "B"}}]}
+
+
+def test_check_borsten_refuses_a_non_qubit_factor(tmp_path, capsys):
+    path = write_doc(tmp_path, NON_QUBIT_DOCUMENT)
+    assert cli(capsys, "run", path, "--out", tmp_path / "run")[0] == 0
+    rc, out, err = cli(capsys, "check", path, "--suite", "borsten",
+                       "--out", tmp_path / "check")
+    assert (rc, out) == (2, "")
+    assert err == ("input error: borsten suite needs qubit factors; "
+                   "factor 'A' has dimension 3\n")
+
+
 def test_check_fv_valid_geometry_passes(tmp_path, capsys):
     rc, out, _ = cli(capsys, "check", PRESETS / "bostelmann.json",
                      "--suite", "fv", "--out", tmp_path)
@@ -644,7 +667,7 @@ def test_sweep_tripartite_computes_one_table(tmp_path, capsys, monkeypatch, grid
     def counted(*args, **kwargs):
         calls.append(kwargs)
         return tripartite_order_count(*args, **kwargs)
-    monkeypatch.setattr("causalq.cli.tripartite_order_count", counted)
+    monkeypatch.setattr("causalq.detectors.tripartite_order_count", counted)
     doc = load_document(PRESETS / "tripartite_orders.json")
     path = write_doc(tmp_path, {**doc, "tolerances": {"tol.positivity": 0.25}})
     rc, _, _ = cli(capsys, "sweep", path, "--param", "coupling", "--grid", grid,
@@ -880,6 +903,56 @@ def test_cli_import_leaves_the_thread_pool_unloaded():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
+# the causalq modules `import causalq.cli` loads, and those each route adds:
+# handlers and builders import their own route
+EAGER_MODULES = {"cli", "causal", "config", "errors", "qops", "scenarios", "serial"}
+FAMILY = {"histories", "random_ops"}
+FV = {"fv", "random_ops"}
+DETECTORS = {"detectors", "field"}
+ROUTE_MODULES = FAMILY | FV | DETECTORS
+
+
+def test_cli_import_leaves_the_route_modules_unloaded():
+    src = str(Path(causalq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    names = sorted(f"causalq.{m}" for m in ROUTE_MODULES)
+    code = (f"import causalq.cli, sys; loaded = [m for m in {names!r} if m in sys.modules]; "
+            "assert not loaded, loaded")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+# the nine commands of the benchmark's cold workload, and a refused document,
+# with their exit codes and the route modules each loads
+ROUTE_COMMANDS = {
+    "run_borsten_qubit": (["run", "borsten_qubit.json"], 0, set()),
+    "run_sorkin_qubit_baby": (["run", "sorkin_qubit_baby.json"], 0, set()),
+    "run_fuksa_family": (["run", "fuksa_family.json"], 0, FAMILY),
+    "run_bostelmann": (["run", "bostelmann.json"], 0, FV),
+    "run_detector_pair": (["run", "detector_pair.json"], 0, DETECTORS),
+    "run_tripartite_orders": (["run", "tripartite_orders.json"], 0, DETECTORS),
+    "sweep_tripartite_orders": (["sweep", "tripartite_orders.json"], 0, DETECTORS),
+    "check_borsten": (["check", "borsten_qubit.json", "--suite", "borsten"], 1, set()),
+    "check_fuksa": (["check", "fuksa_family.json", "--suite", "fuksa"], 0, FAMILY),
+    "check_detector_refused": (
+        ["check", "tripartite_orders.json", "--suite", "detector"], 2, set()),
+}
+
+
+@pytest.mark.parametrize("argv, want, route", ROUTE_COMMANDS.values(),
+                         ids=ROUTE_COMMANDS)
+def test_each_command_loads_only_its_route(tmp_path, argv, want, route):
+    src = str(Path(causalq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [argv[0], str(PRESETS / argv[1]), *argv[2:], "--out", str(tmp_path)]
+    code = (f"import json, sys; from causalq import cli; rc = cli.main({argv!r}); "
+            "print(json.dumps([rc, [m for m in sys.modules if m.startswith('causalq.')]]))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                          capture_output=True, text=True, check=True)
+    rc, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == want, proc.stderr
+    assert set(loaded) == {f"causalq.{m}" for m in EAGER_MODULES | route}
+
+
 def _bad_document(name):
     if name == "non_unitary_kick":
         doc = load_document(PRESETS / "borsten_qubit.json")
@@ -1037,7 +1110,7 @@ def test_check_detector_refuses_tripartite_before_building(tmp_path, capsys,
                                                             monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("order table computed for a refused document")
-    monkeypatch.setattr("causalq.cli.tripartite_order_count", boom)
+    monkeypatch.setattr("causalq.detectors.tripartite_order_count", boom)
     rc, _, err = cli(capsys, "check", PRESETS / "tripartite_orders.json",
                      "--suite", "detector", "--out", tmp_path)
     assert rc == 2
