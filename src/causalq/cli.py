@@ -19,7 +19,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
-from operator import itemgetter
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +49,15 @@ class CheckResult:
     note: str = ""
 
 
+class Table:
+    """Data columns by name, all of one length: `len` is the row count."""
+    def __init__(self, columns: dict[str, list]):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
+
+
 @dataclass
 class RunReport:
     """Deterministic run summary: inputs digest, checks, residuals, timings."""
@@ -61,7 +70,7 @@ class RunReport:
     residuals: dict[str, float] = field(default_factory=dict)
     results: dict[str, float] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
-    rows: list[dict] | None = None
+    rows: Table | None = None
 
     @property
     def passed(self) -> bool:
@@ -99,21 +108,26 @@ def _write_report(rep: RunReport, out_dir: Path, stem: str) -> Path:
 
 
 def _write_rows(rep: RunReport, out_dir: Path, stem: str, fmt: str) -> Path | None:
+    """The data table, all rows from one template in one `%` call.  A column's
+    first value fixes its format: a str is text, anything else a number with
+    17 significant digits in CSV and in the JSON float form in JSON."""
     if not rep.rows:
         return None
-    cols = list(rep.rows[0])  # the first row fixes the columns and their formats
-    text = [isinstance(rep.rows[0][k], str) for k in cols]
-    if fmt == "json":  # one row a line, C-encoded; floats keep every bit
+    cols = rep.rows.columns
+    text = [isinstance(c[0], str) for c in cols.values()]
+    if fmt == "json":  # one row a line, each cell encoded by json beforehand
         path = out_dir / f"{stem}.data.json"
-        rows = (json.dumps({k: r[k] if t else float(r[k]) for k, t in zip(cols, text)})
-                for r in rep.rows)
-        path.write_text("[\n" + ",\n".join(rows) + "\n]\n")
+        line = "{%s}" % ", ".join(json.dumps(k).replace("%", "%%") + ": %s" for k in cols)
+        sep, head, tail = ",\n", "[\n", "\n]\n"
+        values = [list(map({v: json.dumps(v) for v in set(c)}.__getitem__, c)) if t
+                  else json.dumps(list(map(float, c)))[1:-1].split(", ")
+                  for c, t in zip(cols.values(), text)]
     else:
         path = out_dir / f"{stem}.data.csv"
         line = ",".join("%s" if t else "%.17g" for t in text) + "\n"
-        get = itemgetter(*cols)  # one column: a bare value, which `%` takes too
-        body = "".join([line % get(r) for r in rep.rows])
-        path.write_text(",".join(cols) + "\n" + body)
+        sep, head, tail, values = "", ",".join(cols) + "\n", "", cols.values()
+    body = sep.join([line] * len(rep.rows)) % tuple(chain.from_iterable(zip(*values)))
+    path.write_text(head + body + tail)
     return path
 
 
@@ -138,9 +152,9 @@ def _exec_operations(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
         rep.results.update(run_scenario(s, {}))
         return
     param, grid = s.sweep
-    rep.rows = [{param: v, **run_scenario(s, {param: v})} for v in grid]
-    for col in list(rep.rows[0])[1:]:
-        vals = [r[col] for r in rep.rows]
+    points = [run_scenario(s, {param: v}) for v in grid]
+    rep.rows = Table({param: list(grid), **{k: [p[k] for p in points] for k in points[0]}})
+    for col, vals in list(rep.rows.columns.items())[1:]:
         rep.results[f"delta_max.{col}"] = max(abs(v - vals[0]) for v in vals)
 
 
@@ -153,10 +167,10 @@ def _exec_family(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
     rep.residuals["histories.consistency.strong"] = float(np.abs(off).max())
     rep.results["probability_sum"] = float(dm.probabilities.sum())
     labels = [".".join(map(str, a)) for a in dm.alphas]
-    rep.rows = [{"alpha": a, "beta": b, "re": x, "im": y}
-                for a, xs, ys in zip(labels, dm.matrix.real.tolist(),
-                                     dm.matrix.imag.tolist())
-                for b, x, y in zip(labels, xs, ys)]
+    rep.rows = Table({"alpha": [a for a in labels for _ in labels],
+                      "beta": labels * len(labels),
+                      "re": dm.matrix.real.ravel().tolist(),
+                      "im": dm.matrix.imag.ravel().tolist()})
 
 
 def _gate_counts(rep: RunReport, prefix: str, check) -> None:
@@ -240,7 +254,8 @@ def _sweep_tripartite(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
     grid = grid_values(doc["sweep"])
     # the couplings are formal series variables, so one table serves every row
     table = _orders(kick_fn, bridge, receiver, fb, max_order, tol)
-    rep.rows = [{"coupling": v, **table} for v in grid]
+    rep.rows = Table({"coupling": list(grid),
+                      **{k: [v] * len(grid) for k, v in table.items()}})
     rep.checks.append(CheckResult("sweep.coupling_free", None, note=(
         "couplings are formal series variables; every row has the same table")))
 

@@ -38,8 +38,8 @@ from .errors import (CausalqError, NotCausallyOrderable, NotHermitian,
                      NotSorkinType, ValidationError)
 from .field import FieldModel, FockBackend, SmearingFn, _two_point
 from .qops import (LocalOperator, ProductSpace, _apply_matrix, _embed_matrix,
-                   check_density, commutator, dag, expih, is_hermitian, opnorm,
-                   select_outcome, sigma_m, sigma_p, within)
+                   check_density, commutator, dag, expih, factor, is_hermitian,
+                   opnorm, select_outcome, sigma_m, sigma_p, within)
 
 __all__ = [
     "DetectorSpec", "PerturbativeState", "FactorizationResult", "MatrixPoly",
@@ -436,8 +436,7 @@ def tripartite_order_count(kick: SmearingFn, a: DetectorSpec | None,
     named = {"rho_b": rho_b} if a is None else {"rho_a": rho_a, "rho_b": rho_b}
     w = fb.vacuum[:, None]
     for what, rho in reversed(named.items()):
-        ev, u = np.linalg.eigh(check_density(rho, 2, tol, what))
-        w = np.kron(u[:, ev > 0] * np.sqrt(ev[ev > 0]), w)  # W W^dag = rho
+        w = np.kron(factor(check_density(rho, 2, tol, what)), w)  # W W^dag = rho
     sp = joint_space(fb, dets)
     # series variables 0, 1, 2 are the kick, A and B couplings
     kick_gate = (0, fb.space.labels, 1j * fb.phi_smeared(kick).matrix)

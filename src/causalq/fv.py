@@ -49,7 +49,7 @@ from .errors import (CouplingOutsideK, DimensionMismatch, GeometryViolation,
                      NotCausallyOrderable, UnknownLabel, ZeroProbability)
 from .qops import (ProductSpace, _apply_matrix, _embed_matrix, _ptrace_matrix,
                    _support_defect, check_density, check_effect,
-                   check_unitary, dag, opnorm, space, within)
+                   check_unitary, dag, factor, opnorm, space, within)
 from .random_ops import haar_unitary, random_density, random_hermitian
 
 __all__ = [
@@ -450,9 +450,8 @@ def _evolved(sm: ScatteringMap, omega: np.ndarray,
     keep = [p for p in sm.probes if p.label in sm.coupled or p.label in effects]
     sp = sm.space.restricted([*sm.circuit.site_labels, *(p.label for p in keep)])
     f = np.ones((1, 1))
-    for p in keep:   # one column of F per positive eigenvalue of sigma
-        w, v = np.linalg.eigh(overrides.get(p.label, p.sigma))
-        f = np.kron(f, v[:, w > 0] * np.sqrt(w[w > 0]))
+    for p in keep:   # F F^dag = sigma, one column per eigenvalue above rounding
+        f = np.kron(f, factor(overrides.get(p.label, p.sigma)))
     d_sys = len(omega)
     # rows (site, probe) as in sp; columns (rank, site), so omega acts last
     a = np.zeros((d_sys, *f.shape, d_sys), dtype=complex)

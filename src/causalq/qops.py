@@ -9,6 +9,7 @@ Every module builds on one primitive per idea, each working on plain arrays:
 * `_apply_matrix(op, labels, sp, m)`: placement, op on the factors `labels`
   applied to m on their axes (`embed` applies it to the identity);
 * `expih(h, t)`: the Hermitian exponential exp(i t h), from one `eigh`;
+* `factor(rho)`: F with F F^dag = rho, one column per eigenvalue above rounding;
 * `luders_sum(projectors, x)`: the non-selective Lueders sum sum_n P_n x P_n;
 * `select_outcome(p, rho, tol)`: the selective step (P rho P / w, w);
 * `rounding_floor(d, scale)`: the c·d·u·scale size below which a computed
@@ -39,7 +40,7 @@ __all__ = [
     "spectral_resolution", "born_probability", "luders_nonselective",
     "luders_selective", "partial_trace", "expectation",
     "pure_state", "dag", "commutator", "commute", "rounding_floor", "opnorm",
-    "herm_defect", "within", "expih", "luders_sum", "select_outcome",
+    "herm_defect", "within", "expih", "factor", "luders_sum", "select_outcome",
     "check_unitary", "check_effect", "is_hermitian", "is_projector",
     "check_density",
     "sigma_x", "sigma_y", "sigma_z", "sigma_p", "sigma_m", "eye2", "PAULI",
@@ -119,10 +120,19 @@ def is_projector(m: np.ndarray, tol: Tolerances) -> bool:
     return _skew_within(m, tol.projector) and within(m @ m - m, tol.projector)
 
 
-def expih(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(i t h) for Hermitian h, from one eigendecomposition."""
-    w, v = np.linalg.eigh(h)
+def expih(h: np.ndarray | tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
+    """exp(i t h) for Hermitian h, from one eigendecomposition; `h` may be that
+    decomposition, the pair (w, v) of `np.linalg.eigh`, to reuse it across t."""
+    w, v = h if isinstance(h, tuple) else np.linalg.eigh(h)
     return (v * np.exp(1j * t * w)) @ dag(v)
+
+
+def factor(rho: np.ndarray) -> np.ndarray:
+    """F with F F^dag = rho for a density matrix: a column sqrt(w) v per
+    eigenvalue w above `rounding_floor(d, 1.0)`, so a pure state gives one."""
+    w, v = np.linalg.eigh(rho)
+    keep = w > rounding_floor(len(w), 1.0)
+    return v[:, keep] * np.sqrt(w[keep])
 
 
 def luders_sum(projectors: Iterable[np.ndarray], x: np.ndarray) -> np.ndarray:

@@ -107,8 +107,8 @@ class Scenario:
     # the linear extensions that `run` evaluates, one per commutation class;
     # order_check is (mode, their count), mode "classes" when they cover every
     # class and "partial" when they are the first MAX_EXTENSIONS of more;
-    # prepared holds each operation's matrices (None for parametric kicks,
-    # whose unitary depends on the grid point)
+    # prepared holds each operation's matrices (for a parametric kick, whose
+    # unitary depends on the grid point, its generator's eigendecomposition)
     extensions: tuple[tuple[int, ...], ...] = dfield(init=False, repr=False)
     order_check: tuple[str, int] = dfield(init=False, repr=False)
     prepared: tuple = dfield(init=False, repr=False)
@@ -142,8 +142,7 @@ class Scenario:
             if param not in names:
                 raise UnknownParameter(f"sweep parameter {param!r} not used by any kick")
             object.__setattr__(self, "sweep", (param, grid))
-        prepared = tuple(None if op.parametric else _prepare(op, self.tol)
-                         for op in self.operations)
+        prepared = tuple(_prepare(op, self.tol) for op in self.operations)
         exts: tuple[tuple[int, ...], ...] = ()
         if order is not None:
             indep = _independence(self.operations, prepared, order.leq)
@@ -166,7 +165,10 @@ class SignallingReport:
 
 
 def _prepare(op: LocalOperation, tol: Tolerances):
-    """The matrices a non-parametric `op` applies: eigenprojectors or its operator."""
+    """What `op` applies: eigenprojectors, its operator, or for a parametric
+    kick the generator's (w, v) from `eigh`, which `expih` takes at every point."""
+    if op.parametric:
+        return np.linalg.eigh(op.operator.matrix)
     if op.kind == "measure":
         return [p.matrix for p in spectral_resolution(op.operator, op.bins, tol)]
     if op.kind in ("kick", "select", "observe"):
@@ -226,8 +228,8 @@ def run(s: Scenario, params: Mapping[str, float] | None = None) -> dict[str, flo
     `s.order_check` reports) and the recorded values compared; disagreement
     beyond tolerance raises OrderSensitivity.  The values returned are those
     of the first extension.  Operations are prepared once per scenario (the
-    extensions, eigenprojectors and fixed operators, see `Scenario`); a call
-    forms only the parametric kick unitaries, shared by all extensions.
+    extensions, eigenprojectors, operators and generator spectra, see
+    `Scenario`); a call forms only the kick unitaries, shared by all extensions.
     """
     params = dict(params or {})
     declared = {op.name for op in s.operations if op.parametric}
@@ -236,8 +238,8 @@ def run(s: Scenario, params: Mapping[str, float] | None = None) -> dict[str, flo
         raise UnknownParameter(f"parameters {sorted(unknown)} not used by any kick")
     if not s.operations:
         return {}
-    mats = [expih(op.operator.matrix, float(params.get(op.name, 0.0)))
-            if op.parametric else m for op, m in zip(s.operations, s.prepared)]
+    mats = [expih(m, float(params.get(op.name, 0.0))) if op.parametric else m
+            for op, m in zip(s.operations, s.prepared)]
     all_results = []
     for ext in s.extensions:
         rho = s.initial.matrix.copy()

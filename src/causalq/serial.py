@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 from itertools import chain
 from math import inf, isnan
 from pathlib import Path
@@ -279,9 +280,34 @@ def dump_document(doc: Mapping, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _walk(value, out: list) -> None:
+    """Append `value` to `out` as a type tag and a length-prefixed body, keys
+    sorted: a list of floats as one block of little-endian float64 bytes, any
+    other scalar as its JSON text."""
+    t = type(value)
+    if t is dict:
+        out.append(b"o%d:" % len(value))
+        for k in sorted(value):
+            _walk(k, out)
+            _walk(value[k], out)
+    elif t in (list, tuple) and value and set(map(type, value)) == {float}:
+        out.append(b"f%d:" % len(value) + struct.pack("<%dd" % len(value), *value))
+    elif t in (list, tuple):
+        out.append(b"l%d:" % len(value))
+        for v in value:
+            _walk(v, out)
+    else:  # the tag is the Python type: 1 and 1.0 differ, as in the JSON text
+        text = json.dumps(value).encode()
+        out.append(b"%s:%d:" % (t.__name__.encode(), len(text)) + text)
+
+
 def document_digest(doc: Mapping) -> str:
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    """sha256 of one typed walk of the parsed document (`_walk`): equal for
+    documents that parse to the same values of the same JSON types, whatever
+    their key order and layout."""
+    out: list[bytes] = []
+    _walk(doc, out)
+    return hashlib.sha256(b"".join(out)).hexdigest()
 
 
 def fmt17(x) -> str:

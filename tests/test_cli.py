@@ -723,6 +723,12 @@ def test_one_output_directory_per_command(tmp_path, capsys, monkeypatch):
 
 # data files against the per-entry reference
 
+def _row_dicts(table) -> list[dict]:
+    """The table the writer got, one dict per row; every column has `len` rows."""
+    assert {len(c) for c in table.columns.values()} == {len(table)}
+    return [dict(zip(table.columns, row)) for row in zip(*table.columns.values())]
+
+
 def _reference_family_rows(dm) -> list[dict]:
     """The decoherence table entry by entry, as one numpy scalar per cell."""
     rows = []
@@ -771,7 +777,7 @@ def test_data_files_match_per_entry_reference(tmp_path, capsys, monkeypatch, arg
     tables = []
     write = cli_module._write_rows
     monkeypatch.setattr(cli_module, "_write_rows",
-                        lambda rep, *a: tables.append(rep.rows) or write(rep, *a))
+                        lambda rep, *a: tables.append(_row_dicts(rep.rows)) or write(rep, *a))
     rc, _, _ = cli(capsys, argv[0], path, *argv[2:], "--format", fmt,
                    "--out", tmp_path / "out")
     assert rc == 0
@@ -791,7 +797,7 @@ def test_json_data_parses_to_the_indented_rows(tmp_path, capsys, monkeypatch, ar
     tables = []
     write = cli_module._write_rows
     monkeypatch.setattr(cli_module, "_write_rows",
-                        lambda rep, *a: tables.append(rep.rows) or write(rep, *a))
+                        lambda rep, *a: tables.append(_row_dicts(rep.rows)) or write(rep, *a))
     rc, _, _ = cli(capsys, argv[0], PRESETS / argv[1], "--format", "json",
                    "--out", tmp_path)
     assert rc == 0

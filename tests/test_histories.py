@@ -1,5 +1,6 @@
 """Histories calculus: class operators, decoherence, additivity, no-signalling."""
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -172,54 +173,78 @@ def random_resolution(sp, k, rng):
 
 def decoherence_reference(fam, rho, h):
     """tr(C_i rho C_j^dag) with every chain multiplied out from the identity."""
+    us = [None if h is None else expm(1j * t * h) for t in fam.times]
     cs = []
     for alpha in product(*(range(len(r)) for r in fam.resolutions)):
         c = np.eye(fam.space.dim, dtype=complex)
-        for r, a, t in zip(fam.resolutions, alpha, fam.times):
+        for r, a, u in zip(fam.resolutions, alpha, us):
             p = r.projectors[a].matrix
-            if h is not None:
-                u = expm(1j * t * h)
+            if u is not None:
                 p = u @ p @ u.conj().T
             c = p @ c
         cs.append(c)
     return np.array([[np.trace(ci @ rho @ cj.conj().T) for cj in cs] for ci in cs])
 
 
+def random_pure(dim, rng):
+    return ket_rho(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+
+
 @pytest.mark.parametrize("with_h", [False, True])
 def test_decoherence_matches_direct_products(with_h):
     rng = np.random.default_rng(17 + with_h)
-    sp = qubit_space("A", "B")
-    for n_steps in (2, 3, 4):
-        for _ in range(2):
-            steps = tuple(random_resolution(sp, int(rng.integers(2, 5)), rng)
-                          for _ in range(n_steps))
-            times = tuple(np.sort(rng.uniform(0.0, 2.0, n_steps)))
-            h = random_hermitian(4, rng) if with_h else None
-            fam = HistoryFamily(steps, times, hamiltonian=h)
-            rho = random_density(4, rng)
-            want = decoherence_reference(fam, rho, h)
-            got = decoherence(fam, rho).matrix
-            assert np.abs(got - want).max() <= 1e-12
+    shapes = ((Q2, 2), (Q2, 3), (Q2, 4), (qubit_space("A", "B", "C"), 4))
+    for pure, (sp, n_steps), _ in product((False, True), shapes, range(2)):
+        steps = tuple(random_resolution(sp, int(rng.integers(2, 5)), rng)
+                      for _ in range(n_steps))
+        times = tuple(np.sort(rng.uniform(0.0, 2.0, n_steps)))
+        h = random_hermitian(sp.dim, rng) if with_h else None
+        fam = HistoryFamily(steps, times, hamiltonian=h)
+        rho = (random_pure if pure else random_density)(sp.dim, rng)
+        want = decoherence_reference(fam, rho, h)
+        got = decoherence(fam, rho).matrix
+        assert np.abs(got - want).max() <= 1e-12
 
 
 def test_decoherence_matches_entrywise_loop():
-    """The one matrix product against the entry-by-entry trace it replaced."""
+    """The state-column product against the entry-by-entry trace over the
+    dense class operators, for pure, rank-2 and full-rank states."""
     rng = np.random.default_rng(31)
     sp = qubit_space("A", "B", "C")
-    for n_steps, with_h in ((2, False), (3, True), (4, False)):
+    cases = [(8, 2, False), (8, 3, True), (8, 4, False)]
+    cases += [(rank, n, h) for rank in (1, 2) for n, h in ((2, False), (3, True), (4, True))]
+    for rank, n_steps, with_h in cases:
         steps = tuple(random_resolution(sp, int(rng.integers(2, 5)), rng)
                       for _ in range(n_steps))
         times = tuple(np.sort(rng.uniform(0.0, 2.0, n_steps)))
         h = random_hermitian(8, rng) if with_h else None
         fam = HistoryFamily(steps, times, hamiltonian=h)
-        rho = random_density(8, rng)
+        rho = (random_density(8, rng) if rank == 8
+               else sum(random_pure(8, rng) for _ in range(rank)) / rank)
         levels = [hist._heisenberg([p.matrix for p in r.projectors], t, h)
                   for r, t in zip(fam.resolutions, fam.times)]
-        cs = hist._chains(levels, 8)
+        cs = hist._chains(levels, np.eye(8, dtype=complex))
         want = np.array([[np.vdot(cj, ci @ rho) for cj in cs] for ci in cs])
         got = decoherence(fam, rho).matrix
         assert got.shape == (len(cs), len(cs))
         assert np.abs(got - want).max() <= 1e-12
+
+
+def test_decoherence_of_a_pure_state_holds_no_class_operator():
+    # 8 qubits, 3 steps of 4 outcomes: 64 dense class operators of d = 256
+    # would take 64 MB, their products with rho as much again
+    rng = np.random.default_rng(43)
+    sp = qubit_space(*"ABCDEFGH")
+    fam = HistoryFamily(tuple(random_resolution(sp, 4, rng) for _ in range(3)))
+    rho = random_pure(sp.dim, rng)
+    tracemalloc.start()
+    try:
+        dm = decoherence(fam, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dm.matrix.shape == (64, 64)
+    assert peak < 10 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 def test_decoherence_exponentiates_once_per_step(monkeypatch):

@@ -248,6 +248,41 @@ def test_expih_degenerate_spectrum():
         assert q.opnorm(q.expih(h, t) - expm(1j * t * h)) < 1e-12
 
 
+def test_expih_reuses_a_given_eigendecomposition():
+    h = ro.random_hermitian(8, np.random.default_rng(4))
+    wv = np.linalg.eigh(h)
+    for t in (0.4, -2.3):
+        assert np.array_equal(q.expih(wv, t), q.expih(h, t))
+
+
+@pytest.mark.parametrize("dim", [2, 8, 64])
+def test_factor_of_a_pure_state_is_one_column(dim):
+    rng = np.random.default_rng(dim)
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    rho = np.outer(v, v.conj()) / np.vdot(v, v).real
+    f = q.factor(rho)
+    assert f.shape == (dim, 1)
+    assert np.abs(f @ q.dag(f) - rho).max() <= 1e-14
+
+
+def test_factor_drops_rounding_eigenvalues_either_side_of_zero():
+    u = ro.haar_unitary(6, np.random.default_rng(9))
+    w = np.array([0.5, 0.3, 0.2, 1e-17, -1e-17, 0.0])
+    f = q.factor(u @ np.diag(w) @ q.dag(u))
+    assert f.shape == (6, 3)
+    # the kept columns are sqrt(w) times the eigenvectors, whatever their phase
+    assert np.allclose(np.sort(np.linalg.norm(f, axis=0) ** 2), [0.2, 0.3, 0.5],
+                       rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("dim", [2, 5, 16, 64])
+def test_factor_reproduces_a_full_rank_state(dim):
+    rho = ro.random_density(dim, np.random.default_rng(dim))
+    f = q.factor(rho)
+    assert f.shape == (dim, dim)
+    assert np.abs(f @ q.dag(f) - rho).max() <= 1e-14
+
+
 def test_luders_selective_zero_probability():
     rho = q.pure_state([1, 0], q.qubit_space("A"))
     e = q.LocalOperator(q.qubit_space("A"), np.diag([0.0, 1.0]).astype(complex))

@@ -161,6 +161,30 @@ def test_run_resolves_each_measurement_once(monkeypatch):
     assert orders == []
 
 
+def test_each_kick_generator_is_diagonalized_once_per_scenario(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.array(a))
+        return eigh(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    sp = q.qubit_space("A", "B")
+    gens = [q.embed(q.sigma_x, "A", sp), q.embed(q.sigma_y, "B", sp)]
+    ops = (sc.kick_generator(gens[0], rect(0, 1, -6, -5), "g"),
+           sc.kick_generator(gens[1], rect(0, 1, 5, 6), "h"),
+           sc.measure(q.embed(q.sigma_z, "A", sp), rect(2, 3, -0.5, 0.5)),
+           sc.observe(q.embed(q.sigma_z, "B", sp), rect(20, 21, -0.5, 0.5), "C"))
+    init = q.pure_state(np.kron([1, 0], [1, 1]).astype(complex), sp)
+    s = sc.Scenario(sp, init, ops)
+    points = [{"g": t, "h": 0.5 * t} for t in np.linspace(0.0, 3.0, 12)]
+    rows = [sc.run(s, p) for p in points]
+    for g in gens:  # once per document, whatever the grid length
+        assert sum(np.array_equal(a, g.matrix) for a in calls) == 1
+    # the same arithmetic as a fresh `expih` at each point, so the same bits
+    assert rows == [_full_enumeration(s, p, s.extensions) for p in points]
+
+
 def test_spacelike_noncommuting_kicks_raise_order_sensitivity():
     # same factor kicked in two spacelike regions: microcausality broken by
     # construction, so the recorded value depends on the linear extension

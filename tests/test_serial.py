@@ -339,3 +339,44 @@ def test_grid_refuses_nan_wherever_it_sits(grid):
     with pytest.raises(ValidationError, match=rf"^--grid/{bad}: -?(nan|inf) is not a "
                                               "finite double$"):
         validate(grid, GRID, ("--grid",))
+
+
+# the digest: one typed walk of the parsed document
+
+def test_digest_sees_one_ulp_in_one_matrix_entry():
+    from causalq.serial import document_digest
+    doc = family_document(np.random.default_rng(5))
+    bumped = copy.deepcopy(doc)
+    row = bumped["family"]["steps"][1]["observable"]["imag"][2]
+    row[3] = float(np.nextafter(row[3], 1.0))
+    assert row[3] != doc["family"]["steps"][1]["observable"]["imag"][2][3]
+    assert document_digest(bumped) != document_digest(doc)
+
+
+@pytest.mark.parametrize("a, b", [
+    ({"x": 1}, {"x": 1.0}), ({"x": [1, 2.0]}, {"x": [1.0, 2.0]}),
+    ({"x": [[1.0]]}, {"x": [1.0]}), ({"x": [0.0]}, {"x": [-0.0]}),
+    ({"x": ["ab", "c"]}, {"x": ["a", "bc"]}), ({"x": "1"}, {"x": 1}),
+    ({"x": True}, {"x": 1}), ({"x": None}, {"x": False}), ({"x": []}, {"x": {}}),
+    ({"x": {"y": 1}}, {"xy": 1}), ({"x": [12, 3]}, {"x": [1, 23]})],
+    ids=["int_float", "mixed_list", "nesting", "signed_zero", "string_split",
+         "string_number", "bool_int", "null_false", "empty_containers", "key_path",
+         "int_digits"])
+def test_digest_tells_apart_values_or_types_that_differ(a, b):
+    from causalq.serial import document_digest
+    assert document_digest(a) != document_digest(b)
+
+
+def test_digest_ignores_key_order_and_layout(tmp_path):
+    from causalq.serial import document_digest
+    doc = family_document(np.random.default_rng(5))
+    reordered = dict(reversed(list(doc.items())))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(reordered, indent=3))
+    assert document_digest(load_document(path)) == document_digest(doc)
+
+
+def test_digest_of_a_preset_is_pinned():
+    from causalq.serial import document_digest
+    assert document_digest(load_document(PRESETS / "fuksa_family.json")) == (
+        "f22dec5e2fe5c0f5da7d0cf2e7429aafba1f736799be184af5c8cffa849f63f9")
