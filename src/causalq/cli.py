@@ -29,12 +29,16 @@ from .causal import spacelike
 from .config import Tolerances, with_overrides
 from .errors import (CausalqError, ParseError, UnknownParameter,
                      UnknownPreset, ValidationError)
-from .qops import PAULI, opnorm, sigma_x
-from .scenarios import _worst_commutator, pauli_strings
+from .qops import PAULI, _embed_matrix, opnorm, sigma_x
+from .scenarios import _pauli_products, _worst_commutator
 from .scenarios import run as run_scenario
 from .serial import (GRID, PAYLOADS, build_detector_pair, build_family,
                      build_scenario, build_tripartite, document_digest, fmt17,
                      grid_values, load_document, validate)
+
+# Pauli pairs x dim^3 the borsten suite takes on at most: one pair's commutator
+# and SVD took 3-4 ns x dim^3 at dim 32 and 1.2 ns at 128, so two minutes at most
+_BORSTEN_WORK = 2 ** 36
 
 # |1><1|, the upper level under `detectors.monopole` (sigma_p raises |0> to |1>),
 # not the ground state; the benchmark oracle and the preset tables pin it
@@ -273,8 +277,13 @@ def _check_borsten(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
         if dim != 2 and label in {*lab1, *lab3}:
             raise ValidationError(
                 f"borsten suite needs qubit factors; factor {label!r} has dimension {dim}")
-    alg1 = pauli_strings(s.space, lab1)
-    alg3 = pauli_strings(s.space, lab3)
+    pairs = 4 ** (len(lab1) + len(lab3))
+    if pairs * s.space.dim ** 3 > _BORSTEN_WORK:
+        raise ValidationError(
+            f"borsten suite would compare {pairs} Pauli pairs on dimension "
+            f"{s.space.dim}; pairs x dim^3 is over 2^36")
+    alg1, alg3 = ([_embed_matrix(m, lab, s.space) for m in _pauli_products(len(lab))]
+                  for lab in (lab1, lab3))
     # the scenario already holds the measurement's eigenprojectors
     worst, witness = _worst_commutator(s.prepared[kinds.index("measure")], alg1, alg3)
     ok = worst < tol.operator

@@ -324,7 +324,8 @@ def _embed_matrix(op: np.ndarray, target_labels: Sequence[str],
 
 
 def embed(op, target_labels: Sequence[str] | str, sp: ProductSpace) -> LocalOperator:
-    """Place `op` on the named factors, identity elsewhere."""
+    """Place `op` on the named factors, identity elsewhere: the support holds
+    by construction, so it is not re-verified as a declared one is."""
     if isinstance(target_labels, str):
         target_labels = [target_labels]
     op = _as_matrix(op)
@@ -332,8 +333,9 @@ def embed(op, target_labels: Sequence[str] | str, sp: ProductSpace) -> LocalOper
     if op.shape != (d_t, d_t):
         raise DimensionMismatch(
             f"operator shape {op.shape} != target factor dim {d_t}")
-    return LocalOperator(sp, _embed_matrix(op, target_labels, sp),
-                         frozenset(target_labels))
+    out = LocalOperator(sp, _embed_matrix(op, target_labels, sp))
+    object.__setattr__(out, "support", frozenset(target_labels))
+    return out
 
 
 def _ptrace_matrix(m: np.ndarray, sp: ProductSpace, keep: Sequence[str]) -> np.ndarray:

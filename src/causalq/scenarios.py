@@ -21,13 +21,13 @@ such a shift from those that cannot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
-from functools import reduce
-from itertools import combinations, islice, product as iproduct
+from functools import cached_property
+from itertools import combinations, islice
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .causal import Region, build_order, fig2_preset, spacelike
+from .causal import CausalOrder, Region, build_order, fig2_preset, spacelike
 from .config import DEFAULT, Tolerances
 from .errors import (BasisEmpty, NotEffect, NotHermitian, OrderSensitivity,
                      SpaceMismatch, UnknownParameter, UnknownPreset)
@@ -49,6 +49,8 @@ __all__ = [
 MAX_EXTENSIONS = 720
 # operations a scenario holds at most; the document schema states the same cap
 MAX_OPERATIONS = 8
+# bytes of stacked commutators the Borsten kernel forms at once
+CHUNK_BYTES = 2 ** 21
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,19 +100,20 @@ def observe(c: LocalOperator, region: Region, name: str) -> LocalOperation:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
+    """Operations on a space, validated and prepared at construction: `order`
+    is the causal order of their regions and `prepared` what each applies (for
+    a parametric kick, its generator's eigendecomposition).  The order check
+    runs on first read of `extensions`, the linear extensions `run` evaluates,
+    one per commutation class, or of `order_check`, which is (mode, their
+    count): mode "classes" when they cover every class, "partial" when they
+    are the first MAX_EXTENSIONS of more."""
     space: ProductSpace
     initial: DensityState
     operations: tuple[LocalOperation, ...]
     factor_regions: Mapping[str, Region] = dfield(default_factory=dict)
     sweep: tuple[str, tuple[float, ...]] | None = None
     tol: Tolerances = dfield(default=DEFAULT, repr=False)
-    # the linear extensions that `run` evaluates, one per commutation class;
-    # order_check is (mode, their count), mode "classes" when they cover every
-    # class and "partial" when they are the first MAX_EXTENSIONS of more;
-    # prepared holds each operation's matrices (for a parametric kick, whose
-    # unitary depends on the grid point, its generator's eigendecomposition)
-    extensions: tuple[tuple[int, ...], ...] = dfield(init=False, repr=False)
-    order_check: tuple[str, int] = dfield(init=False, repr=False)
+    order: CausalOrder | None = dfield(init=False, repr=False)
     prepared: tuple = dfield(init=False, repr=False)
 
     def __post_init__(self):
@@ -142,16 +145,27 @@ class Scenario:
             if param not in names:
                 raise UnknownParameter(f"sweep parameter {param!r} not used by any kick")
             object.__setattr__(self, "sweep", (param, grid))
-        prepared = tuple(_prepare(op, self.tol) for op in self.operations)
-        exts: tuple[tuple[int, ...], ...] = ()
-        if order is not None:
-            indep = _independence(self.operations, prepared, order.leq)
-            exts = tuple(islice(order.linear_extensions(independent=indep),
-                                MAX_EXTENSIONS + 1))
-        mode = "partial" if len(exts) > MAX_EXTENSIONS else "classes"
-        object.__setattr__(self, "extensions", exts[:MAX_EXTENSIONS])
-        object.__setattr__(self, "order_check", (mode, len(self.extensions)))
-        object.__setattr__(self, "prepared", prepared)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "prepared",
+                           tuple(_prepare(op, self.tol) for op in self.operations))
+
+    @cached_property
+    def _classes(self) -> tuple[tuple[int, ...], ...]:
+        """One extension per commutation class, one past MAX_EXTENSIONS at most."""
+        if self.order is None:
+            return ()
+        indep = _independence(self.operations, self.prepared, self.order.leq)
+        return tuple(islice(self.order.linear_extensions(independent=indep),
+                            MAX_EXTENSIONS + 1))
+
+    @property
+    def extensions(self) -> tuple[tuple[int, ...], ...]:
+        return self._classes[:MAX_EXTENSIONS]
+
+    @property
+    def order_check(self) -> tuple[str, int]:
+        mode = "partial" if len(self._classes) > MAX_EXTENSIONS else "classes"
+        return mode, len(self.extensions)
 
 
 @dataclass(frozen=True)
@@ -278,24 +292,33 @@ def signalling_delta(s: Scenario, observable: str | None = None) -> SignallingRe
                             s.order_check)
 
 
-def _worst_commutator(projectors: Sequence[np.ndarray],
-                      alg1: Sequence[LocalOperator], alg3: Sequence[LocalOperator]):
-    """Largest ||[sum_n P_n A3 P_n, A1]|| over both bases, with its (A1, A3) indices."""
+def _worst_commutator(projectors: Sequence[np.ndarray], alg1: Sequence, alg3: Sequence):
+    """Largest ||[sum_n P_n A3 P_n, A1]||_2 over bases of `LocalOperator`s or
+    matrices, with its (A1, A3) indices: the first maximum, A3 outer and A1
+    inner, None when every norm is 0.  Pairs go in that order in stacks of
+    at most `CHUNK_BYTES` of commutators, each normed by one batched SVD."""
+    m1, m3 = ([getattr(a, "matrix", a) for a in alg] for alg in (alg1, alg3))
+    n1, d = len(m1), m1[0].shape[-1]
+    total, step = n1 * len(m3), max(1, CHUNK_BYTES // (16 * d * d))
     worst, witness = 0.0, None
-    for i3, a3 in enumerate(alg3):
-        cond = luders_sum(projectors, a3.matrix)
-        for i1, a1 in enumerate(alg1):
-            v = opnorm(commutator(cond, a1.matrix))
-            if v > worst:
-                worst, witness = v, (i1, i3)
+    for lo in range(0, total, step):
+        i3, i1 = np.divmod(np.arange(lo, min(lo + step, total)), n1)
+        cond = luders_sum(projectors, np.stack(m3[i3[0]:i3[-1] + 1]))[i3 - i3[0]]
+        x = np.stack([m1[i] for i in i1])
+        c = cond @ x
+        c -= x @ cond
+        norms = np.linalg.svd(c, compute_uv=False)[:, 0]
+        k = int(np.argmax(norms))
+        if norms[k] > worst:
+            worst, witness = float(norms[k]), (int(i1[k]), int(i3[k]))
     return worst, witness
 
 
 def borsten_violation(a2: LocalOperator, a1: LocalOperator, a3: LocalOperator,
                       bins=None, tol: Tolerances = DEFAULT) -> float:
     """Commutator norm of the measured-and-averaged A3 with A1."""
-    r = spectral_resolution(a2, bins, tol)
-    return _worst_commutator([p.matrix for p in r], [a1], [a3])[0]
+    cond = luders_sum([p.matrix for p in spectral_resolution(a2, bins, tol)], a3.matrix)
+    return opnorm(commutator(cond, a1.matrix))
 
 
 def borsten_check(a2: LocalOperator, bins,
@@ -323,8 +346,17 @@ def pauli_strings(sp: ProductSpace, labels: Sequence[str]) -> list[LocalOperator
     for l in labels:
         if sp.dim_of(l) != 2:
             raise ValueError(f"factor {l!r} is not a qubit")
-    return [embed(reduce(np.kron, combo, np.ones((1, 1), complex)), list(labels), sp)
-            for combo in iproduct(PAULI.values(), repeat=len(labels))]
+    return [embed(m, list(labels), sp) for m in _pauli_products(len(labels))]
+
+
+def _pauli_products(n: int) -> np.ndarray:
+    """The 4**n Pauli products on n qubits as a (4**n, 2**n, 2**n) stack, base-4
+    digits in `PAULI` order: Kronecker products, one qubit a step."""
+    out, paulis = np.ones((1, 1, 1), complex), np.stack(list(PAULI.values()))
+    for _ in range(n):
+        out = (out[:, None, :, None, :, None] * paulis[:, None, :, None, :]
+               ).reshape(4 * len(out), 2 * out.shape[1], -1)
+    return out
 
 
 PRESET_NAMES = ("borsten_qubit", "sorkin_qubit_baby", "sorkin_qft_fock",

@@ -10,7 +10,9 @@ so both stay independent of the field matrices and generators that the
 package builds.  `table_two_point`
 reads vacuum two-point values off whole-window tables: the Wightman part from
 one mode-sum matmul over every step offset, the massless commutator from the
-dt = a wave recursion run across the whole window.
+dt = a wave recursion run across the whole window.  `worst_commutator_pairs`
+is the Borsten kernel one Pauli pair at a time, as `scenarios._worst_commutator`
+computed it before it stacked the pairs.
 """
 import numpy as np
 
@@ -114,3 +116,17 @@ def table_two_point(f, x, y, kind):
         if f.sites % 2 == 0:
             w = w + real * (-1.0) ** (dn + ds) / f.sites
     return w
+
+
+def worst_commutator_pairs(projectors, alg1, alg3):
+    """Largest ||[sum_n P_n A3 P_n, A1]||_2 one pair at a time: A3 outer, A1
+    inner, one `opnorm` per commutator, the first strict maximum kept, with
+    its (A1, A3) indices."""
+    worst, witness = 0.0, None
+    for i3, a3 in enumerate(alg3):
+        cond = qops.luders_sum(projectors, getattr(a3, "matrix", a3))
+        for i1, a1 in enumerate(alg1):
+            v = qops.opnorm(qops.commutator(cond, getattr(a1, "matrix", a1)))
+            if v > worst:
+                worst, witness = v, (i1, i3)
+    return worst, witness

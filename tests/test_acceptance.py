@@ -13,12 +13,11 @@ import causalq.field as F
 import causalq.qops as q
 import causalq.scenarios as sc
 from causalq.causal import cells, fig2_preset, spacelike
-from causalq.detectors import (DetectorSpec, bipartite_presets,
-                               causal_factorization_check,
+from causalq.detectors import (DetectorSpec, causal_factorization_check,
                                detector_update_nonselective, kraus_operators,
                                kraus_series, nonselective_forms,
-                               power_fit_slope, scattering_operator,
-                               sigma_operator, signal_noise_split, trace_norm,
+                               scattering_operator, sigma_operator,
+                               signal_noise_split, trace_norm,
                                tripartite_order_count)
 from causalq.field import FieldModel, SmearingFn, fock_backend
 from causalq.fv import (ProbeCoupling, bostelmann_check, bostelmann_preset,
@@ -31,6 +30,8 @@ from causalq.qops import (LocalOperator, ProjectiveResolution, dag, opnorm,
                           sigma_x, sigma_z, spectral_resolution)
 from causalq.random_ops import (haar_unitary, random_density, random_effect,
                                 random_hermitian)
+
+from detector_presets import bipartite_presets, power_fit_slope
 
 EYE2 = np.eye(2, dtype=complex)
 GROUND = np.diag([0.0, 1.0]).astype(complex)

@@ -20,8 +20,9 @@ from causalq.errors import ParseError, ValidationError
 from causalq.histories import decoherence
 from causalq.qops import PAULI, embed, qubit_space, sigma_x
 from causalq.scenarios import pauli_strings
-from causalq.serial import (build_detector_pair, build_family, build_tripartite,
-                            document_digest, dump_document, fmt17, load_document)
+from causalq.serial import (build_detector_pair, build_family, build_scenario,
+                            build_tripartite, document_digest, dump_document, fmt17,
+                            load_document)
 
 from sized_documents import family_document, operations_document
 
@@ -320,6 +321,111 @@ def test_check_borsten_refuses_a_non_qubit_factor(tmp_path, capsys):
     assert (rc, out) == (2, "")
     assert err == ("input error: borsten suite needs qubit factors; "
                    "factor 'A' has dimension 3\n")
+
+
+def test_check_borsten_runs_no_order_check(tmp_path, capsys, monkeypatch):
+    # the suite reads the operations and the measurement's projectors only
+    from causalq import scenarios as sc
+    from causalq.causal import CausalOrder
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("order check run")
+    monkeypatch.setattr(sc, "_independence", refuse)
+    monkeypatch.setattr(CausalOrder, "linear_extensions", refuse)
+    rc, out, _ = cli(capsys, "check", PRESETS / "borsten_qubit.json",
+                     "--suite", "borsten", "--out", tmp_path)
+    assert rc == 1 and "[FAIL] borsten.condition" in out
+    monkeypatch.undo()
+    rc, out, _ = cli(capsys, "run", PRESETS / "borsten_qubit.json", "--out", tmp_path)
+    assert rc == 0
+    assert ("[info] order_check (classes: one linear extension per class of "
+            "commuting operations)") in out
+    assert read_report(tmp_path, "borsten_qubit")["results"][
+        "order_check.extensions_evaluated"] == 1
+
+
+def _dense_document(qubits, rng, readout="matrix", measured="matrix"):
+    """A kick generator, a measurement and a readout, each a dense Hermitian
+    matrix unless `measured` (for Pauli Z) or `readout` (for Pauli X) names a
+    qubit: dense supports are the whole space, so the borsten suite takes
+    4**qubits Pauli strings for them."""
+    d = 2 ** qubits
+
+    def dense():
+        g = rng.normal(size=(d, d))
+        return {"matrix": ((g + g.T) / 2).tolist()}
+    return {"geometry": {"preset": "fig2"},
+            "space": {"qubits": list("ABCDEFG"[:qubits]), "state": [1] + [0] * (d - 1)},
+            "operations": [
+                {"kind": "kick_generator", "region": "O1", "param": "g",
+                 "operator": dense()},
+                {"kind": "measure", "region": "O2",
+                 "operator": dense() if measured == "matrix"
+                 else {"pauli": "Z", "factor": measured}},
+                {"kind": "observe", "region": "O3", "name": "C",
+                 "operator": dense() if readout == "matrix"
+                 else {"pauli": "X", "factor": readout}}]}
+
+
+@pytest.mark.parametrize("qubits, readout, pairs", [(6, "matrix", 4 ** 12),
+                                                    (7, "B", 4 ** 8)])
+def test_check_borsten_refuses_work_over_its_budget(tmp_path, capsys, monkeypatch,
+                                                     qubits, readout, pairs):
+    # pairs x dim^3 is 2^42 and 2^37; the estimate comes before any basis
+    from causalq import scenarios as sc
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Pauli basis built")
+    for module in (cli_module, sc):
+        monkeypatch.setattr(module, "_pauli_products", refuse)
+    monkeypatch.setattr(cli_module, "_embed_matrix", refuse)
+    doc = _dense_document(qubits, np.random.default_rng(qubits), readout, "A")
+    rc, out, err = cli(capsys, "check", write_doc(tmp_path, doc), "--suite", "borsten",
+                       "--out", tmp_path)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"input error: borsten suite would compare {pairs} Pauli "
+                          f"pairs on dimension {2 ** qubits}")
+
+
+def test_check_borsten_runs_work_at_its_budget(tmp_path, capsys, monkeypatch):
+    # five qubits, both supports whole: 1024^2 pairs x 32^3 = 2^35 is under
+    # the budget, so the bases are built; the kernel itself is stubbed
+    seen = []
+
+    def kernel(projectors, alg1, alg3):
+        seen.append((len(alg1), len(alg3)))
+        return 0.0, None
+    monkeypatch.setattr(cli_module, "_worst_commutator", kernel)
+    doc = _dense_document(5, np.random.default_rng(5))
+    rc, out, _ = cli(capsys, "check", write_doc(tmp_path, doc), "--suite", "borsten",
+                     "--out", tmp_path)
+    assert rc == 0 and "[PASS] borsten.condition measured=0" in out
+    assert seen == [(1024, 1024)]
+
+
+def test_check_borsten_memory_stays_in_chunks(tmp_path, capsys):
+    # 256 x 256 Pauli pairs on four qubits: all their commutators at once
+    # would take 268 MB
+    import tracemalloc
+    from fock_oracles import worst_commutator_pairs
+    doc = _dense_document(4, np.random.default_rng(4))
+    path = write_doc(tmp_path, doc)
+    s = build_scenario(load_document(path))
+    labels = list(s.space.labels)
+    alg = pauli_strings(s.space, labels)
+    want, (i1, i3) = worst_commutator_pairs(s.prepared[1], alg, alg)
+    tracemalloc.start()
+    try:
+        rc, out, _ = cli(capsys, "check", path, "--suite", "borsten", "--out", tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    assert rc == 1
+    got = read_report(tmp_path, "doc")["residuals"]["borsten.commutator"]
+    assert abs(got - want) <= 1e-12 * want
+    assert (f"witness: measured-average of {cli_module._pauli_name(i3, labels)} fails "
+            f"to commute with {cli_module._pauli_name(i1, labels)}") in out
 
 
 def test_check_fv_valid_geometry_passes(tmp_path, capsys):

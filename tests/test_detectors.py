@@ -10,12 +10,12 @@ from scipy.linalg import expm
 from causalq.causal import cells, spacelike
 from causalq.config import DEFAULT
 from causalq.detectors import (
-    DetectorSpec, MatrixPoly, PerturbativeState, bipartite_presets,
-    box_profile, causal_factorization_check, current_microcausality,
+    DetectorSpec, MatrixPoly, PerturbativeState, box_profile,
+    causal_factorization_check, current_microcausality,
     detector, detector_update_nonselective, detector_update_selective,
     dual_map_commutator, gaussian_profile, joint_space, joint_state,
     kraus_operators, kraus_series, monopole, nonselective_forms,
-    point_detector, power_fit_slope, scattering_operator, scattering_series,
+    point_detector, scattering_operator, scattering_series,
     sigma_operator, signal_noise_split, trace_norm, tripartite_order_count,
     _interaction_generators, _mean_moment)
 from causalq.errors import (CausalqError, NotCausallyOrderable, NotHermitian,
@@ -28,6 +28,7 @@ from causalq.qops import dag, opnorm, sigma_x, sigma_y
 from causalq.random_ops import random_density
 from causalq.serial import build_tripartite, load_document
 
+from detector_presets import bipartite_presets, power_fit_slope
 from fock_oracles import embedded_generators, kron_embed
 
 F12 = FieldModel(0.0, 12, steps=8)
@@ -850,8 +851,8 @@ def test_joint_space_and_state_layout():
 
 
 def test_detector_paths_skip_support_recheck(monkeypatch):
-    # internal embeds are identity outside their targets by construction;
-    # only the public `embed` re-checks a declared support
+    # embeds are identity outside their targets by construction, `embed`
+    # included; only a LocalOperator built with a declared support checks it
     doc = load_document(Path(__file__).resolve().parents[1] / "presets"
                         / "tripartite_orders.json")
     kick, bridge, receiver, fb, max_order = build_tripartite(doc)

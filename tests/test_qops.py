@@ -416,6 +416,26 @@ def test_apply_matrix_on_identity_equals_kron_placement(dims):
         assert np.array_equal(q.embed(op, targets, sp).matrix, want)
 
 
+def test_embed_trusts_the_support_it_builds(monkeypatch):
+    # op x identity holds by construction: embed does not re-verify it, while
+    # a LocalOperator built with a declared support still does
+    rng = np.random.default_rng(41)
+    sp = q.space(("s0", 2), ("s1", 3), ("s2", 2))
+    calls = []
+    defect = q._support_defect
+    monkeypatch.setattr(q, "_support_defect",
+                        lambda *args: calls.append(args) or defect(*args))
+    for targets in (["s1"], ["s2", "s0"], ["s0", "s1", "s2"]):
+        op = ro.haar_unitary(int(np.prod([sp.dim_of(l) for l in targets])), rng)
+        got = q.embed(op, targets, sp)
+        assert np.array_equal(got.matrix, kron_embed(op, targets, sp))
+        assert got.support == frozenset(targets)
+    assert calls == []
+    with pytest.raises(DimensionMismatch):
+        q.LocalOperator(sp, ro.haar_unitary(sp.dim, rng), frozenset({"s1"}))
+    assert len(calls) == 1
+
+
 def test_derived_operators_keep_tolerances():
     # a 1e-9 off-support term is inside a loosened support tolerance only
     loose = DEFAULT.replace(support=1e-6)

@@ -9,12 +9,14 @@ from scipy.linalg import expm
 import causalq.qops as q
 import causalq.scenarios as sc
 from causalq.causal import CausalOrder, fig2_preset, rect
+from causalq.config import DEFAULT
 from causalq.errors import (BasisEmpty, NotEffect, NotHermitian,
                             OrderSensitivity, SpaceMismatch, UnknownParameter,
                             UnknownPreset, ZeroProbability)
 from causalq.random_ops import random_density, random_hermitian
 from causalq.serial import build_scenario
 
+from fock_oracles import worst_commutator_pairs
 from sized_documents import operations_document
 
 
@@ -452,6 +454,7 @@ def test_more_classes_than_the_cap_run_the_first_and_say_so(monkeypatch):
             yield ext
     monkeypatch.setattr(CausalOrder, "linear_extensions", counted)
     s = sc.Scenario(sp, q.pure_state(np.eye(2)[0], sp), ops)
+    s.extensions  # the order check runs on first read
     assert len(yielded) == sc.MAX_EXTENSIONS + 1  # the DFS stops one past the cap
     assert s.extensions == tuple(yielded[:sc.MAX_EXTENSIONS])
     assert s.order_check == ("partial", sc.MAX_EXTENSIONS)
@@ -574,6 +577,58 @@ def test_passing_check_implies_no_signalling():
         assert passed, worst
         rep = sc.signalling_delta(s)
         assert rep.delta_max < 1e-10
+
+
+def _measured_on(doc, labels, rng):
+    """`doc` with its measurement replaced by a random observable on `labels`
+    whose eigenvalues are rounded to integers, so eigenspaces may be degenerate."""
+    qubits = doc["space"]["qubits"]
+    sp = q.qubit_space(*qubits)
+    w, v = np.linalg.eigh(random_hermitian(2 ** len(labels), rng))
+    m = q.embed((v * np.round(w)) @ v.conj().T, labels, sp).matrix
+    for op in doc["operations"]:
+        if op["kind"] == "measure":
+            op["operator"] = {"matrix": m.real.tolist(), "imag": m.imag.tolist()}
+    return doc
+
+
+@pytest.mark.parametrize("chunked", [False, True])
+@pytest.mark.parametrize("qubits", [3, 4, 5])
+def test_stacked_borsten_kernel_matches_the_pair_loop(monkeypatch, qubits, chunked):
+    # seeded operations documents, each measured on AB (most fail) and on BC
+    # (kicks on A pass); bases on one and two qubits, and all of them as for a
+    # matrix kick, whose support is the whole space
+    rng = np.random.default_rng(qubits)
+    labels = list("ABCDE"[:qubits])
+    bases = [(["A"], ["B"]), (["A", "C"], ["B"]), (["A"], ["B", "C"])]
+    if qubits < 5:
+        bases.append((labels, ["B"]))
+    if chunked:  # three pairs a chunk: boundaries fall inside an A3's row
+        monkeypatch.setattr(sc, "CHUNK_BYTES", 3 * 16 * 4 ** qubits)
+    verdicts = set()
+    for measured in (["A", "B"], ["B", "C"]):
+        doc = _measured_on(operations_document(rng, ["Z"], qubits), measured, rng)
+        s = build_scenario(doc)
+        projectors = s.prepared[[op.kind for op in s.operations].index("measure")]
+        for lab1, lab3 in bases:
+            alg1 = sc.pauli_strings(s.space, lab1)
+            alg3 = sc.pauli_strings(s.space, lab3)
+            want, want_at = worst_commutator_pairs(projectors, alg1, alg3)
+            got, got_at = sc._worst_commutator(projectors, alg1, alg3)
+            assert abs(got - want) <= 1e-12 * want, (measured, lab1, lab3)
+            assert got_at == want_at, (measured, lab1, lab3)
+            assert sc._worst_commutator(projectors, [a.matrix for a in alg1],
+                                        [a.matrix for a in alg3]) == (got, got_at)
+            verdicts.add(got < DEFAULT.operator)
+    assert verdicts == {True, False}
+
+
+def test_stacked_borsten_kernel_has_no_witness_when_all_norms_vanish():
+    sp = q.qubit_space("A", "B")
+    projectors = [p.matrix for p in q.spectral_resolution(q.embed(q.sigma_z, "B", sp))]
+    got = sc._worst_commutator(projectors, sc.pauli_strings(sp, ["A"]),
+                               sc.pauli_strings(sp, ["B"]))
+    assert got == (0.0, None)
 
 
 # sorkin presets
