@@ -27,10 +27,9 @@ import numpy as np
 from . import __version__
 from .causal import spacelike
 from .config import Tolerances, with_overrides
-from .errors import (CausalqError, ParseError, UnknownParameter,
-                     UnknownPreset, ValidationError)
-from .qops import PAULI, _embed_matrix, opnorm, sigma_x
-from .scenarios import _pauli_products, _worst_commutator
+from .errors import CausalqError, ParseError, UnknownParameter, ValidationError
+from .qops import _embed_matrix, opnorm, sigma_x
+from .scenarios import _pauli_name, _pauli_products, _worst_commutator
 from .scenarios import run as run_scenario
 from .serial import (GRID, PAYLOADS, build_detector_pair, build_family,
                      build_scenario, build_tripartite, document_digest, fmt17,
@@ -282,10 +281,11 @@ def _check_borsten(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
         raise ValidationError(
             f"borsten suite would compare {pairs} Pauli pairs on dimension "
             f"{s.space.dim}; pairs x dim^3 is over 2^36")
+    # the measurement is resolved only past the guard
+    projectors = s.prepared[kinds.index("measure")]
     alg1, alg3 = ([_embed_matrix(m, lab, s.space) for m in _pauli_products(len(lab))]
                   for lab in (lab1, lab3))
-    # the scenario already holds the measurement's eigenprojectors
-    worst, witness = _worst_commutator(s.prepared[kinds.index("measure")], alg1, alg3)
+    worst, witness = _worst_commutator(projectors, alg1, alg3)
     ok = worst < tol.operator
     note = ""
     if witness is not None:
@@ -294,12 +294,6 @@ def _check_borsten(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
                 f"fails to commute with {_pauli_name(i1, lab1)}")
     rep.residuals["borsten.commutator"] = worst
     rep.checks.append(CheckResult("borsten.condition", ok, worst, note))
-
-
-def _pauli_name(index: int, labels: list[str]) -> str:
-    """`pauli_strings(space, labels)[index]` by name: base-4 digits in `PAULI` order."""
-    digits = [tuple(PAULI)[index // 4 ** k % 4] for k in reversed(range(len(labels)))]
-    return "".join(digits) + "@" + ",".join(labels)
 
 
 def _check_fuksa(doc: dict, tol: Tolerances, rep: RunReport, args) -> None:
@@ -417,8 +411,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         rep = _execute(args)
-    except (ParseError, ValidationError, UnknownParameter, UnknownPreset,
-            FileNotFoundError) as e:
+    except (ParseError, ValidationError, UnknownParameter, FileNotFoundError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except CausalqError as e:

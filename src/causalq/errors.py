@@ -55,10 +55,6 @@ class BasisEmpty(CausalqError):
     """Operator-algebra basis list supplied to a checker is empty."""
 
 
-class UnknownPreset(CausalqError):
-    """Requested preset name is not registered."""
-
-
 class UnknownParameter(CausalqError):
     """Sweep parameter does not match any operation parameter."""
 

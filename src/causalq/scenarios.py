@@ -17,6 +17,10 @@ checked on the first of them and says so in `Scenario.order_check`.  Parameter
 sweeps quantify how much a kick in one region shifts expectations in another,
 and an operator-level checker separates measured observables that can relay
 such a shift from those that cannot.
+
+Scenarios are built here from operation constructors, or from a JSON document
+by `serial.build_scenario`; the paper's reference scenarios are such documents,
+shipped as `presets/*.json`.
 """
 from __future__ import annotations
 
@@ -27,21 +31,20 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .causal import CausalOrder, Region, build_order, fig2_preset, spacelike
+from .causal import CausalOrder, Region, build_order
 from .config import DEFAULT, Tolerances
 from .errors import (BasisEmpty, NotEffect, NotHermitian, OrderSensitivity,
-                     SpaceMismatch, UnknownParameter, UnknownPreset)
+                     SpaceMismatch, UnknownParameter)
 from .qops import (PAULI, DensityState, LocalOperator, ProductSpace,
                    check_unitary, commutator, commute, dag, embed, expih,
-                   is_hermitian, is_projector, luders_sum, opnorm, pure_state,
-                   qubit_space, select_outcome, sigma_x, sigma_z,
-                   spectral_resolution)
+                   is_hermitian, is_projector, luders_sum, opnorm,
+                   select_outcome, spectral_resolution)
 
 __all__ = [
     "MAX_EXTENSIONS", "MAX_OPERATIONS", "LocalOperation", "Scenario",
     "SignallingReport", "kick", "kick_generator", "measure", "select", "observe",
     "run", "signalling_delta", "borsten_check", "borsten_violation",
-    "pauli_strings", "preset", "PRESET_NAMES",
+    "pauli_strings",
 ]
 
 # class representatives the order check runs at most: 6!, every extension of
@@ -100,21 +103,21 @@ def observe(c: LocalOperator, region: Region, name: str) -> LocalOperation:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Operations on a space, validated and prepared at construction: `order`
-    is the causal order of their regions and `prepared` what each applies (for
-    a parametric kick, its generator's eigendecomposition).  The order check
-    runs on first read of `extensions`, the linear extensions `run` evaluates,
-    one per commutation class, or of `order_check`, which is (mode, their
-    count): mode "classes" when they cover every class, "partial" when they
-    are the first MAX_EXTENSIONS of more."""
+    """Operations on a space with an optional sweep `(param, grid)`, validated
+    at construction, where `order`, the causal order of their regions, is
+    built.  What each operation applies, `prepared` (for a measurement its
+    eigenprojectors, for a parametric kick its generator's eigendecomposition),
+    is formed on first read, and the order check on first read of
+    `extensions`, the linear extensions `run` evaluates, one per commutation
+    class, or of `order_check`, which is (mode, their count): mode "classes"
+    when they cover every class, "partial" when they are the first
+    MAX_EXTENSIONS of more."""
     space: ProductSpace
     initial: DensityState
     operations: tuple[LocalOperation, ...]
-    factor_regions: Mapping[str, Region] = dfield(default_factory=dict)
     sweep: tuple[str, tuple[float, ...]] | None = None
     tol: Tolerances = dfield(default=DEFAULT, repr=False)
     order: CausalOrder | None = dfield(init=False, repr=False)
-    prepared: tuple = dfield(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "operations", tuple(self.operations))
@@ -127,12 +130,6 @@ class Scenario:
                 raise SpaceMismatch(f"{op.kind} operator is not on the scenario space")
             if op.kind == "observe" and not op.name:
                 raise ValueError("observe operations need a name")
-            sup = op.operator.support or frozenset()
-            for label in sup:
-                anchor = self.factor_regions.get(label)
-                if anchor is not None and spacelike(anchor, op.region):
-                    raise ValueError(
-                        f"operation on factor {label!r} sits spacelike to its anchor region")
         order = None
         if self.operations:  # build_order raises CycleError
             order = build_order([op.region for op in self.operations])
@@ -146,8 +143,10 @@ class Scenario:
                 raise UnknownParameter(f"sweep parameter {param!r} not used by any kick")
             object.__setattr__(self, "sweep", (param, grid))
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "prepared",
-                           tuple(_prepare(op, self.tol) for op in self.operations))
+
+    @cached_property
+    def prepared(self) -> tuple:
+        return tuple(_prepare(op, self.tol) for op in self.operations)
 
     @cached_property
     def _classes(self) -> tuple[tuple[int, ...], ...]:
@@ -359,55 +358,7 @@ def _pauli_products(n: int) -> np.ndarray:
     return out
 
 
-PRESET_NAMES = ("borsten_qubit", "sorkin_qubit_baby", "sorkin_qft_fock",
-                "borsten_additive_control")
-
-
-def preset(name: str, tol: Tolerances = DEFAULT) -> Scenario:
-    """Named reference scenarios on the canonical three-region geometry."""
-    o1, o2, o3 = fig2_preset()
-    if name in ("borsten_qubit", "borsten_additive_control"):
-        sp = qubit_space("A", "B")
-        init = pure_state(np.kron([1, 0], [1, 1]) / np.sqrt(2), sp)
-        if name == "borsten_qubit":
-            a2 = embed(np.kron(np.diag([0.0, 1.0]), sigma_z), ["A", "B"], sp)
-        else:
-            a2 = embed(sigma_z, "A", sp) + embed(sigma_z, "B", sp)
-        ops = (
-            kick_generator(embed(sigma_x, "A", sp), o1, "gamma"),
-            measure(a2, o2),
-            observe(embed(sigma_x, "B", sp), o3, "C"),
-        )
-        grid = tuple(k * np.pi / 16 for k in range(17))
-        return Scenario(sp, init, ops, {"A": o1, "B": o3}, ("gamma", grid), tol)
-    if name == "sorkin_qubit_baby":
-        sp = qubit_space("A", "B")
-        bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-        psi2 = np.array([np.sqrt(2 / 3), 0, 0, np.sqrt(1 / 3)], dtype=complex)
-        p2 = embed(np.outer(psi2, psi2.conj()), ["A", "B"], sp)
-        ops = (
-            kick_generator(embed(sigma_x, "A", sp), o1, "lam"),
-            measure(p2, o2),
-            observe(embed(sigma_z, "B", sp), o3, "C"),
-        )
-        grid = tuple(k * np.pi / 8 for k in range(9))
-        return Scenario(sp, pure_state(bell, sp), ops, {}, ("lam", grid), tol)
-    if name == "sorkin_qft_fock":
-        from .field import FieldModel, fock_backend
-        f = FieldModel(mass=0.0, sites=8, steps=8)
-        fb = fock_backend(f, [2, -2], 3)
-        sp = fb.space
-        ann = fb.annihilation(2)
-        x1 = (ann + ann.dagger()) * (1 / np.sqrt(2))
-        d = fb.cutoff + 1
-        one_a = np.kron(np.eye(d)[1], np.eye(d)[0])
-        one_b = np.kron(np.eye(d)[0], np.eye(d)[1])
-        psi2 = (fb.vacuum + (one_a + one_b) / np.sqrt(2)) / np.sqrt(2)
-        ops = (
-            kick_generator(x1, o1, "lam"),
-            measure(LocalOperator(sp, np.outer(psi2, psi2.conj())), o2),
-            observe(fb.number(-2), o3, "C"),
-        )
-        return Scenario(sp, pure_state(fb.vacuum, sp), ops, {},
-                        ("lam", tuple(np.linspace(0.0, 1.5, 16))), tol)
-    raise UnknownPreset(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+def _pauli_name(index: int, labels: Sequence[str]) -> str:
+    """`pauli_strings(space, labels)[index]` by name: base-4 digits in `PAULI` order."""
+    digits = [tuple(PAULI)[index // 4 ** k % 4] for k in reversed(range(len(labels)))]
+    return "".join(digits) + "@" + ",".join(labels)

@@ -416,7 +416,7 @@ def build_scenario(doc: Mapping, tol: Tolerances = DEFAULT) -> Scenario:
                 raise ValidationError(f"operations/{i}: observe needs a name")
             ops.append(observe(op, region, entry["name"]))
     sweep = (doc["sweep"]["param"], grid_values(doc["sweep"])) if "sweep" in doc else None
-    return Scenario(sp, init, tuple(ops), {}, sweep, tol)
+    return Scenario(sp, init, tuple(ops), sweep, tol)
 
 
 def build_family(doc: Mapping,
@@ -441,22 +441,21 @@ def build_family(doc: Mapping,
 
 
 def _detector_from(spec: Mapping) -> DetectorSpec:
-    from .detectors import DetectorSpec
+    """Weights as given (`DetectorSpec` reads their keys as indices), or boxes."""
+    from .detectors import DetectorSpec, box_profile
     if "switching" in spec:
-        chi = {int(k): float(v) for k, v in spec["switching"].items()}
+        chi = spec["switching"]
     elif "steps" in spec:
-        lo, hi = spec["steps"]
-        chi = {n: 1.0 for n in range(lo, hi + 1)}
+        chi = box_profile(*spec["steps"])
     else:
         raise ValidationError(f"detector {spec.get('label')!r} has no switching")
     pointlike = False
     if "smearing" in spec:
-        fsm = {int(k): float(v) for k, v in spec["smearing"].items()}
+        fsm = spec["smearing"]
     elif "sites" in spec:
-        lo, hi = spec["sites"]
-        fsm = {s: 1.0 for s in range(lo, hi + 1)}
+        fsm = box_profile(*spec["sites"])
     elif "site" in spec:
-        fsm = {int(spec["site"]): 1.0}
+        fsm = box_profile(spec["site"], spec["site"])
         pointlike = True
     else:
         raise ValidationError(f"detector {spec.get('label')!r} has no smearing")

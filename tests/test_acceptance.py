@@ -32,6 +32,7 @@ from causalq.random_ops import (haar_unitary, random_density, random_effect,
                                 random_hermitian)
 
 from detector_presets import bipartite_presets, power_fit_slope
+from scenario_presets import shipped, sorkin_qft_fock
 
 EYE2 = np.eye(2, dtype=complex)
 GROUND = np.diag([0.0, 1.0]).astype(complex)
@@ -69,9 +70,9 @@ def _ket_rho(vec):
 
 def test_criterion_01_borsten_qubit_curve():
     t0 = time.perf_counter()
-    rep = sc.signalling_delta(sc.preset("borsten_qubit"))
-    grid_ok = len(rep.params) == 17 and all(
-        g == k * np.pi / 16 for k, g in enumerate(rep.params))
+    rep = sc.signalling_delta(shipped("borsten_qubit"))
+    grid_ok = len(rep.params) == 33 and all(
+        g == k * np.pi / 32 for k, g in enumerate(rep.params))
     curve_err = max(abs(e - np.cos(g) ** 2)
                     for g, e in zip(rep.params, rep.expectations))
     delta_err = abs(rep.delta_max - 1.0)
@@ -108,12 +109,12 @@ def test_criterion_02_commuting_pairs_never_signal():
 
 def test_criterion_03_sorkin_fock_measurement_enables_signalling():
     t0 = time.perf_counter()
-    s = sc.preset("sorkin_qft_fock")
+    s = sorkin_qft_fock()
     with_meas = sc.signalling_delta(s).delta_max
     stripped = sc.Scenario(
         s.space, s.initial,
         tuple(op for op in s.operations if op.kind != "measure"),
-        s.factor_regions, s.sweep, s.tol)
+        s.sweep, s.tol)
     without = sc.signalling_delta(stripped).delta_max
     t = time.perf_counter() - t0
     _verdict(3, "truncated-Fock chain signals only through the middle measure",
@@ -454,7 +455,7 @@ def test_criterion_11_histories_suite():
     tri = fuksa_tripartite(_kron_res(sp2, PX, "A"),
                            _res(sp2, [p2, np.eye(4) - p2]),
                            _kron_res(sp2, PZ, "B"))
-    report = sc.signalling_delta(sc.preset("sorkin_qubit_baby"))
+    report = sc.signalling_delta(shipped("sorkin_qubit_baby"))
     bell = _ket_rho([1, 0, 0, 1])
     fam23 = HistoryFamily((_res(sp2, [p2, np.eye(4) - p2]),
                            _kron_res(sp2, PZ, "B")))

@@ -19,7 +19,7 @@ from causalq.detectors import tripartite_order_count
 from causalq.errors import ParseError, ValidationError
 from causalq.histories import decoherence
 from causalq.qops import PAULI, embed, qubit_space, sigma_x
-from causalq.scenarios import pauli_strings
+from causalq.scenarios import _pauli_name, pauli_strings
 from causalq.serial import (build_detector_pair, build_family, build_scenario,
                             build_tripartite, document_digest, dump_document, fmt17,
                             load_document)
@@ -259,7 +259,7 @@ def test_pauli_names_follow_pauli_strings():
     sp = qubit_space("A", "B", "C")
     labels = ["A", "C"]
     for i, op in enumerate(pauli_strings(sp, labels)):
-        word, at = cli_module._pauli_name(i, labels).split("@")
+        word, at = _pauli_name(i, labels).split("@")
         assert at == "A,C"
         m = np.kron(PAULI[word[0]], PAULI[word[1]])
         assert np.array_equal(op.matrix, embed(m, labels, sp).matrix), word
@@ -387,6 +387,25 @@ def test_check_borsten_refuses_work_over_its_budget(tmp_path, capsys, monkeypatc
                           f"pairs on dimension {2 ** qubits}")
 
 
+def test_check_borsten_refuses_before_resolving_the_measurement(tmp_path, capsys,
+                                                                monkeypatch):
+    # a dense kick, measurement and readout on seven qubits: 4^14 pairs x 128^3
+    # is 2^49; the measurement's 128 eigenprojectors, whose pairwise
+    # orthogonality check takes seconds, are never formed
+    from causalq import qops, scenarios as sc
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("measurement resolved")
+    for module in (qops, sc):
+        monkeypatch.setattr(module, "spectral_resolution", refuse)
+    doc = _dense_document(7, np.random.default_rng(7))
+    rc, out, err = cli(capsys, "check", write_doc(tmp_path, doc), "--suite", "borsten",
+                       "--out", tmp_path)
+    assert (rc, out) == (2, "")
+    assert err == ("input error: borsten suite would compare 268435456 Pauli pairs "
+                   "on dimension 128; pairs x dim^3 is over 2^36\n")
+
+
 def test_check_borsten_runs_work_at_its_budget(tmp_path, capsys, monkeypatch):
     # five qubits, both supports whole: 1024^2 pairs x 32^3 = 2^35 is under
     # the budget, so the bases are built; the kernel itself is stubbed
@@ -424,8 +443,8 @@ def test_check_borsten_memory_stays_in_chunks(tmp_path, capsys):
     assert rc == 1
     got = read_report(tmp_path, "doc")["residuals"]["borsten.commutator"]
     assert abs(got - want) <= 1e-12 * want
-    assert (f"witness: measured-average of {cli_module._pauli_name(i3, labels)} fails "
-            f"to commute with {cli_module._pauli_name(i1, labels)}") in out
+    assert (f"witness: measured-average of {_pauli_name(i3, labels)} fails "
+            f"to commute with {_pauli_name(i1, labels)}") in out
 
 
 def test_check_fv_valid_geometry_passes(tmp_path, capsys):
@@ -507,6 +526,19 @@ def test_detector_steps_outside_field_window_exit_2(tmp_path, capsys, make,
     build = build_detector_pair if "pair" in doc["detectors"] else build_tripartite
     with pytest.raises(ValidationError, match="outside the field window"):
         build(doc)
+
+
+def test_detector_boxes_take_integral_floats(tmp_path, capsys):
+    # the schema reads 1.0 as an integer, so a box may be written [1.0, 2.0]
+    doc = load_document(PRESETS / "detector_pair.json")
+    floats = json.loads(json.dumps(doc))
+    for det in floats["detectors"]["pair"]:
+        det.update(steps=[float(n) for n in det["steps"]],
+                   sites=[float(s) for s in det["sites"]])
+    assert build_detector_pair(floats)[1:] == build_detector_pair(doc)[1:]
+    rc, _, _ = cli(capsys, "check", write_doc(tmp_path, floats), "--suite", "detector",
+                   "--out", tmp_path)
+    assert rc == 0
 
 
 def test_tripartite_kick_step_outside_field_window_exit_2(tmp_path, capsys):

@@ -508,7 +508,8 @@ def test_fuksa_tripartite_commutation_precondition():
 
 
 def test_fuksa_tripartite_matches_scenario_signalling():
-    from causalq.scenarios import preset, signalling_delta
+    from causalq.scenarios import signalling_delta
+    from scenario_presets import shipped
 
     psi2 = np.array([np.sqrt(2 / 3), 0, 0, np.sqrt(1 / 3)], dtype=complex)
     p2 = np.outer(psi2, psi2.conj())
@@ -519,7 +520,7 @@ def test_fuksa_tripartite_matches_scenario_signalling():
     assert not rep.passed
     assert rep.worst > 1e-3
 
-    sc = preset("sorkin_qubit_baby")
+    sc = shipped("sorkin_qubit_baby")
     report = signalling_delta(sc)
     assert report.delta_max > 1e-3  # operator condition fails, scenario signals
     bell = ket_rho([1, 0, 0, 1])

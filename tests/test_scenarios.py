@@ -12,11 +12,12 @@ from causalq.causal import CausalOrder, fig2_preset, rect
 from causalq.config import DEFAULT
 from causalq.errors import (BasisEmpty, NotEffect, NotHermitian,
                             OrderSensitivity, SpaceMismatch, UnknownParameter,
-                            UnknownPreset, ZeroProbability)
+                            ZeroProbability)
 from causalq.random_ops import random_density, random_hermitian
 from causalq.serial import build_scenario
 
 from fock_oracles import worst_commutator_pairs
+from scenario_presets import borsten_additive_control, shipped, sorkin_qft_fock
 from sized_documents import operations_document
 
 
@@ -67,16 +68,6 @@ def test_scenario_caps_operations():
         _qubit_scenario(ops)
 
 
-def test_factor_anchor_rejects_spacelike_operation():
-    sp = q.qubit_space("A")
-    c = q.embed(q.sigma_z, "A", sp)
-    anchor = rect(0, 1, -10, -9)
-    far = rect(0, 1, 9, 10)
-    with pytest.raises(ValueError):
-        _qubit_scenario((sc.observe(c, far, "C"),),
-                        factor_regions={"A": anchor})
-
-
 def test_sweep_parameter_must_exist():
     sp = q.qubit_space("A")
     c = q.embed(q.sigma_z, "A", sp)
@@ -100,7 +91,7 @@ def test_observe_reads_initial_state():
 
 
 def test_unknown_parameter_rejected_at_run():
-    s = sc.preset("borsten_qubit")
+    s = shipped("borsten_qubit")
     with pytest.raises(UnknownParameter):
         sc.run(s, {"nope": 1.0})
 
@@ -483,13 +474,13 @@ def test_seven_operations_with_noncommuting_spacelike_kicks_are_checked():
 
 
 def test_signalling_report_states_the_order_check():
-    assert sc.signalling_delta(sc.preset("borsten_qubit")).order_check == ("classes", 1)
+    assert sc.signalling_delta(shipped("borsten_qubit")).order_check == ("classes", 1)
 
 
 # borsten_qubit preset
 
 def test_borsten_qubit_curve_is_cos_squared():
-    s = sc.preset("borsten_qubit")
+    s = shipped("borsten_qubit")
     rep = sc.signalling_delta(s)
     gammas = np.array(rep.params)
     expect = np.cos(gammas) ** 2
@@ -499,14 +490,14 @@ def test_borsten_qubit_curve_is_cos_squared():
 
 
 def test_borsten_qubit_periodicity():
-    s = sc.preset("borsten_qubit")
+    s = shipped("borsten_qubit")
     a = sc.run(s, {"gamma": 0.37})["C"]
     b = sc.run(s, {"gamma": 0.37 + 2 * np.pi})["C"]
     assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_borsten_additive_control_is_flat():
-    s = sc.preset("borsten_additive_control")
+    s = borsten_additive_control()
     rep = sc.signalling_delta(s)
     assert rep.delta_max < 1e-12
     assert rep.baseline == pytest.approx(0.0, abs=1e-14)
@@ -638,7 +629,7 @@ QUBIT_BABY_CURVE = (0.3142696805273543, 0.2682459513747881,
 
 
 def test_sorkin_qubit_baby_curve():
-    s = sc.preset("sorkin_qubit_baby")
+    s = shipped("sorkin_qubit_baby")
     rep = sc.signalling_delta(s)
     for k, want in enumerate(QUBIT_BABY_CURVE):
         assert rep.expectations[k] == pytest.approx(want, abs=1e-12)
@@ -649,7 +640,7 @@ def test_sorkin_qubit_baby_curve():
 
 
 def test_sorkin_qft_fock_values():
-    s = sc.preset("sorkin_qft_fock")
+    s = sorkin_qft_fock()
     rep = sc.signalling_delta(s)
     assert rep.baseline == pytest.approx(0.25, abs=1e-12)
     assert rep.expectations[10] == pytest.approx(0.18957803040543136, abs=1e-10)
@@ -658,18 +649,13 @@ def test_sorkin_qft_fock_values():
 
 
 def test_sorkin_qft_fock_removal_control():
-    s = sc.preset("sorkin_qft_fock")
+    s = sorkin_qft_fock()
     stripped = sc.Scenario(s.space, s.initial,
                            tuple(op for op in s.operations if op.kind != "measure"),
-                           s.factor_regions, s.sweep, s.tol)
+                           s.sweep, s.tol)
     rep = sc.signalling_delta(stripped)
     assert rep.delta_max < 1e-14
     assert rep.baseline == pytest.approx(0.0, abs=1e-14)
-
-
-def test_preset_unknown_name():
-    with pytest.raises(UnknownPreset):
-        sc.preset("nope")
 
 
 def test_pauli_strings_two_factors():
